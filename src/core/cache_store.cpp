@@ -1,166 +1,52 @@
 #include "core/cache_store.h"
 
-#include <array>
-#include <atomic>
-#include <bit>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <ostream>
 #include <unordered_set>
 
-#include <unistd.h>
-
-#include "support/bytes.h"
 #include "support/strings.h"
 
 namespace gevo::core {
 
 namespace {
 
-constexpr char kMagic[8] = {'G', 'E', 'V', 'O', 'C', 'A', 'C', 'H'};
-/// magic + u32 version + u64 scope fingerprint.
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8;
-/// Per-record header: payload length + CRC.
-constexpr std::size_t kRecordHeader = 8;
-/// Sanity bound on a single payload; anything larger is treated as
-/// corruption (real keys are tens to hundreds of bytes).
-constexpr std::size_t kMaxPayload = std::size_t{1} << 26;
+constexpr FileFormat kFormat{"GEVOCACH", kCacheStoreVersion, "cache",
+                             "saved for a different workload/scale/device"};
 
-/// Parse one payload into \p out. False when the payload's internal
-/// lengths do not add up (CRC passed but the writer was broken — treat as
-/// corruption all the same).
+/// False when the payload's internal lengths do not add up (CRC passed
+/// but the writer was broken — treat as corruption all the same).
 bool
-parsePayload(const char* p, std::size_t size, CacheStoreRecord* out)
+parseRecord(Reader* in, CacheStoreRecord* out)
 {
-    std::size_t pos = 0;
-    auto need = [&](std::size_t n) { return pos + n <= size; };
-    if (!need(1 + 4))
-        return false;
-    out->level = static_cast<std::uint8_t>(p[pos]);
-    pos += 1;
-    const std::uint32_t keyLen = readLeU32(p + pos);
-    pos += 4;
-    if (!need(keyLen))
-        return false;
-    out->key.assign(p + pos, keyLen);
-    pos += keyLen;
-    if (!need(1 + 4))
-        return false;
-    out->result.valid = p[pos] != 0;
-    pos += 1;
-    const std::uint32_t objCount = readLeU32(p + pos);
-    pos += 4;
-    if (objCount > 64 || !need(std::size_t{objCount} * 8 + 4))
-        return false;
-    out->result.objectives.resize(objCount);
-    for (auto& v : out->result.objectives) {
-        v = std::bit_cast<double>(readLeU64(p + pos));
-        pos += 8;
-    }
-    const std::uint32_t reasonLen = readLeU32(p + pos);
-    pos += 4;
-    if (!need(reasonLen))
-        return false;
-    out->result.failReason.assign(p + pos, reasonLen);
-    pos += reasonLen;
-    return pos == size;
-}
-
-void
-appendPayload(std::string* out, const CacheStoreRecord& rec)
-{
-    out->push_back(static_cast<char>(rec.level));
-    appendLeU32(out, static_cast<std::uint32_t>(rec.key.size()));
-    out->append(rec.key);
-    out->push_back(rec.result.valid ? 1 : 0);
-    appendLeU32(out,
-                static_cast<std::uint32_t>(rec.result.objectives.size()));
-    for (const double v : rec.result.objectives)
-        appendLeU64(out, std::bit_cast<std::uint64_t>(v));
-    appendLeU32(out,
-                static_cast<std::uint32_t>(rec.result.failReason.size()));
-    out->append(rec.result.failReason);
+    return in->u8(&out->level) && in->str(&out->key) &&
+           readFitness(in, &out->result) && in->done();
 }
 
 } // namespace
-
-std::uint32_t
-crc32(const char* data, std::size_t size)
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ static_cast<std::uint8_t>(data[i])) & 0xff] ^
-              (crc >> 8);
-    return crc ^ 0xffffffffu;
-}
 
 CacheLoadResult
 loadCacheStore(const std::string& path, std::uint64_t expectedScope)
 {
     CacheLoadResult res;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        res.status = CacheLoadResult::Status::Missing;
+    std::string bytes;
+    res.status =
+        readFileChecked(path, kFormat, expectedScope, &bytes, &res.message);
+    if (res.status != CacheLoadResult::Status::Ok)
         return res;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        res.status = CacheLoadResult::Status::BadHeader;
-        res.message = "read error";
-        return res;
-    }
 
-    if (bytes.size() < kHeaderSize ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-        res.status = CacheLoadResult::Status::BadHeader;
-        res.message = "not a gevo cache file";
-        return res;
-    }
-    const std::uint32_t version = readLeU32(bytes.data() + sizeof(kMagic));
-    if (version != kCacheStoreVersion) {
-        res.status = CacheLoadResult::Status::VersionMismatch;
-        res.message = strformat("format version %u, expected %u", version,
-                                kCacheStoreVersion);
-        return res;
-    }
-    const std::uint64_t scope = readLeU64(bytes.data() + sizeof(kMagic) + 4);
-    if (expectedScope != 0 && scope != expectedScope) {
-        res.status = CacheLoadResult::Status::ScopeMismatch;
-        res.message = "saved for a different workload/scale/device";
-        return res;
-    }
-    res.status = CacheLoadResult::Status::Ok;
-
-    std::size_t pos = kHeaderSize;
+    // Any malformed record ends the usable stream: everything from there
+    // on is a damaged tail we skip (a crash mid-append or a flipped byte
+    // cannot damage records before it).
+    std::size_t pos = kFileHeaderSize;
+    Reader payload{{}};
+    CacheStoreRecord rec;
     while (pos < bytes.size()) {
-        // Any malformed record ends the usable stream: everything from
-        // here on is a damaged tail we skip (a crash mid-append or a
-        // flipped byte cannot damage records before it).
-        if (bytes.size() - pos < kRecordHeader)
+        const std::size_t start = pos;
+        if (!nextRecord(bytes, &pos, &payload) ||
+            !parseRecord(&payload, &rec)) {
+            pos = start;
             break;
-        const std::uint32_t len = readLeU32(bytes.data() + pos);
-        const std::uint32_t crc = readLeU32(bytes.data() + pos + 4);
-        if (len > kMaxPayload || bytes.size() - pos - kRecordHeader < len)
-            break;
-        const char* payload = bytes.data() + pos + kRecordHeader;
-        if (crc32(payload, len) != crc)
-            break;
-        CacheStoreRecord rec;
-        if (!parsePayload(payload, len, &rec))
-            break;
+        }
         res.records.push_back(std::move(rec));
-        pos += kRecordHeader + len;
     }
     if (pos < bytes.size()) {
         res.truncated = true;
@@ -177,57 +63,25 @@ saveCacheStore(const std::string& path, std::uint64_t scope,
                const std::vector<CacheStoreRecord>& records,
                std::string* error)
 {
-    // Process-unique temp name: two processes saving the same cache file
-    // concurrently must not truncate each other's half-written temp (the
-    // last rename wins, both renames publish a complete file).
-    static std::atomic<std::uint64_t> saveCounter{0};
-    const std::string tmp = strformat(
-        "%s.tmp.%llu.%llu", path.c_str(),
-        static_cast<unsigned long long>(::getpid()),
-        static_cast<unsigned long long>(
-            saveCounter.fetch_add(1, std::memory_order_relaxed)));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            if (error)
-                *error = "cannot open '" + tmp + "' for writing";
-            return false;
-        }
-        out.write(kMagic, sizeof(kMagic));
-        std::string header;
-        appendLeU32(&header, kCacheStoreVersion);
-        appendLeU64(&header, scope);
-        out.write(header.data(),
-                  static_cast<std::streamsize>(header.size()));
-
-        std::string payload;
-        std::string head;
+    // Streamed one record at a time through one reused buffer: a store
+    // can hold many MB, and saves run during the search.
+    return writeFileAtomic(path, [&](std::ostream& file) {
+        std::string buf;
+        auto flush = [&] {
+            file.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+            buf.clear();
+        };
+        appendFileHeader(&buf, kFormat, scope);
+        flush();
         for (const auto& rec : records) {
-            payload.clear();
-            appendPayload(&payload, rec);
-            head.clear();
-            appendLeU32(&head, static_cast<std::uint32_t>(payload.size()));
-            appendLeU32(&head, crc32(payload.data(), payload.size()));
-            out.write(head.data(),
-                      static_cast<std::streamsize>(head.size()));
-            out.write(payload.data(),
-                      static_cast<std::streamsize>(payload.size()));
+            appendRecord(&buf, [&] {
+                buf.push_back(static_cast<char>(rec.level));
+                appendString(&buf, rec.key);
+                appendFitness(&buf, rec.result);
+            });
+            flush();
         }
-        out.flush();
-        if (!out.good()) {
-            if (error)
-                *error = "write to '" + tmp + "' failed";
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        if (error)
-            *error = "rename '" + tmp + "' -> '" + path + "' failed";
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    }, error);
 }
 
 bool

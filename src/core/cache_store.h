@@ -10,13 +10,14 @@
 /// evaluations, repeated across seeds and restarts) only amortize their
 /// evaluation cost if it survives restarts; this store is that boundary.
 ///
-/// File format (all integers little-endian):
+/// File format (core/codec.h — the same codec as the checkpoint and the
+/// wire):
 ///
 ///   header   "GEVOCACH" magic (8 bytes) + u32 format version
 ///            + u64 scope fingerprint
 ///   record*  u32 payloadLen | u32 crc32(payload) | payload
-///   payload  u8 level | u32 keyLen | key bytes
-///            | u8 valid | u64 ms-double-bits | u32 reasonLen | reason
+///   payload  u8 level | u32 keyLen | key bytes | FitnessResult
+///            (u8 valid | u32 n | n x f64 bits | u32 reasonLen | reason)
 ///
 /// The scope fingerprint binds a file to the search it can accelerate.
 /// Level-0 keys encode only the edit list — two different workloads
@@ -35,12 +36,12 @@
 /// file degrades to a cold start (the cache is an accelerator, not a
 /// source of truth: every entry is deterministically recomputable).
 ///
-/// Saving writes the whole snapshot to `path + ".tmp"` and renames it
-/// over the target, so readers only ever observe a complete old file or a
-/// complete new file. Records are emitted in the caches' deterministic
-/// snapshot order (least-recently-used first — see
-/// `VariantCache::snapshot`), which makes a load/save cycle reproduce LRU
-/// eviction order exactly.
+/// Saving writes the whole snapshot to a process-unique temp file and
+/// renames it over the target (core::writeFileAtomic), so readers only
+/// ever observe a complete old file or a complete new file. Records are
+/// emitted in the caches' deterministic snapshot order
+/// (least-recently-used first — see `VariantCache::snapshot`), which
+/// makes a load/save cycle reproduce LRU eviction order exactly.
 
 #ifndef GEVO_CORE_CACHE_STORE_H
 #define GEVO_CORE_CACHE_STORE_H
@@ -49,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "core/codec.h"
 #include "core/fitness.h"
 
 namespace gevo::core {
@@ -71,13 +73,9 @@ struct CacheStoreRecord {
 
 /// Outcome of reading a cache file.
 struct CacheLoadResult {
-    enum class Status {
-        Ok,              ///< Header valid; `records` holds the good prefix.
-        Missing,         ///< No file at the path (normal first run).
-        BadHeader,       ///< Too short / wrong magic — not a cache file.
-        VersionMismatch, ///< A cache file, but another format version.
-        ScopeMismatch,   ///< Saved for a different workload/scale/device.
-    };
+    /// Never Corrupt: a damaged record ends the stream and the good prefix
+    /// before it is kept (see `truncated`).
+    using Status = FileStatus;
 
     Status status = Status::Missing;
     std::vector<CacheStoreRecord> records;
@@ -92,10 +90,6 @@ struct CacheLoadResult {
     /// File contributed usable records (possibly zero on an empty store).
     bool usable() const { return status == Status::Ok; }
 };
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of \p size bytes. Exposed so
-/// tests can craft deliberately corrupted files.
-std::uint32_t crc32(const char* data, std::size_t size);
 
 /// Read a cache file. \p expectedScope must match the fingerprint the
 /// file was saved with (see the header comment); 0 skips the check

@@ -1,55 +1,30 @@
 #include "core/checkpoint.h"
 
-#include <atomic>
-#include <bit>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <ostream>
 
-#include <unistd.h>
-
-#include "core/cache_store.h" // crc32 — shared framing discipline.
-#include "support/bytes.h"
 #include "support/strings.h"
 
 namespace gevo::core {
 
 namespace {
 
-constexpr char kMagic[8] = {'G', 'E', 'V', 'O', 'C', 'K', 'P', 'T'};
-/// magic + u32 version + u64 scope fingerprint.
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8;
-/// Per-record header: payload length + CRC.
-constexpr std::size_t kRecordHeader = 8;
-/// Sanity bound on a single payload (a 256-member island with hundreds
-/// of edits per individual is ~MBs; 64 MiB is corruption).
-constexpr std::size_t kMaxPayload = std::size_t{1} << 26;
+constexpr FileFormat kFormat{"GEVOCKPT", kCheckpointVersion, "checkpoint",
+                             "saved by a trajectory-incompatible search "
+                             "(different workload, seed or parameters)"};
+
+/// Smallest encodings, for Reader::fits before sizing from a count:
+/// an Individual is an empty edit string + an empty FitnessResult + the
+/// evaluated flag; a SamplerConfig is seven doubles.
+constexpr std::size_t kMinIndividual = 4 + (1 + 4 + 4) + 1;
+constexpr std::size_t kSamplerConfigBytes = 7 * 8;
 
 // ---- payload builders ----
-
-void
-appendString(std::string* out, const std::string& s)
-{
-    appendLeU32(out, static_cast<std::uint32_t>(s.size()));
-    out->append(s);
-}
-
-void
-appendDouble(std::string* out, double v)
-{
-    appendLeU64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 void
 appendIndividual(std::string* out, const Individual& ind)
 {
     appendString(out, mut::serializeEdits(ind.edits));
-    out->push_back(ind.fitness.valid ? 1 : 0);
-    appendLeU32(out,
-                static_cast<std::uint32_t>(ind.fitness.objectives.size()));
-    for (const double v : ind.fitness.objectives)
-        appendDouble(out, v);
-    appendString(out, ind.fitness.failReason);
+    appendFitness(out, ind.fitness);
     out->push_back(ind.evaluated ? 1 : 0);
 }
 
@@ -89,172 +64,62 @@ appendLog(std::string* out, const GenerationLog& log)
         appendSamplerConfig(out, rates);
 }
 
-// ---- payload parsers ----
-
-/// Bounds-checked cursor over one payload. Every read* returns false on
-/// overrun; the caller maps any failure to Status::Corrupt.
-struct Cursor {
-    const char* p;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    bool
-    need(std::size_t n) const
-    {
-        return pos + n <= size;
-    }
-    bool
-    readU8(std::uint8_t* out)
-    {
-        if (!need(1))
-            return false;
-        *out = static_cast<std::uint8_t>(p[pos]);
-        pos += 1;
-        return true;
-    }
-    bool
-    readU32(std::uint32_t* out)
-    {
-        if (!need(4))
-            return false;
-        *out = readLeU32(p + pos);
-        pos += 4;
-        return true;
-    }
-    bool
-    readU64(std::uint64_t* out)
-    {
-        if (!need(8))
-            return false;
-        *out = readLeU64(p + pos);
-        pos += 8;
-        return true;
-    }
-    bool
-    readDouble(double* out)
-    {
-        std::uint64_t bits = 0;
-        if (!readU64(&bits))
-            return false;
-        *out = std::bit_cast<double>(bits);
-        return true;
-    }
-    bool
-    readString(std::string* out)
-    {
-        std::uint32_t len = 0;
-        if (!readU32(&len) || !need(len))
-            return false;
-        out->assign(p + pos, len);
-        pos += len;
-        return true;
-    }
-    bool
-    readSize(std::size_t* out)
-    {
-        std::uint64_t v = 0;
-        if (!readU64(&v))
-            return false;
-        *out = static_cast<std::size_t>(v);
-        return true;
-    }
-    bool
-    atEnd() const
-    {
-        return pos == size;
-    }
-};
+// ---- payload parsers (any false maps to Status::Corrupt) ----
 
 bool
-parseIndividual(Cursor* c, Individual* out)
+parseIndividual(Reader* in, Individual* out)
 {
     std::string edits;
-    std::uint8_t valid = 0;
-    std::uint8_t evaluated = 0;
-    if (!c->readString(&edits) || !mut::deserializeEdits(edits, &out->edits))
-        return false;
-    std::uint32_t objCount = 0;
-    if (!c->readU8(&valid) || !c->readU32(&objCount) || objCount > 64)
-        return false;
-    out->fitness.objectives.resize(objCount);
-    for (auto& v : out->fitness.objectives) {
-        if (!c->readDouble(&v))
-            return false;
-    }
-    if (!c->readString(&out->fitness.failReason) || !c->readU8(&evaluated))
-        return false;
-    out->fitness.valid = valid != 0;
-    out->evaluated = evaluated != 0;
-    return true;
+    return in->str(&edits) && mut::deserializeEdits(edits, &out->edits) &&
+           readFitness(in, &out->fitness) && in->flag(&out->evaluated);
 }
 
 bool
-parseSamplerConfig(Cursor* c, mut::SamplerConfig* out)
+parseSamplerConfig(Reader* in, mut::SamplerConfig* out)
 {
-    return c->readDouble(&out->wDelete) && c->readDouble(&out->wCopy) &&
-           c->readDouble(&out->wMove) && c->readDouble(&out->wReplace) &&
-           c->readDouble(&out->wSwap) && c->readDouble(&out->wOperand) &&
-           c->readDouble(&out->exploreFloor);
+    return in->f64(&out->wDelete) && in->f64(&out->wCopy) &&
+           in->f64(&out->wMove) && in->f64(&out->wReplace) &&
+           in->f64(&out->wSwap) && in->f64(&out->wOperand) &&
+           in->f64(&out->exploreFloor);
 }
 
 bool
-parseLog(Cursor* c, GenerationLog* out)
+parseLog(Reader* in, GenerationLog* out)
 {
     std::string edits;
-    std::uint32_t islandCount = 0;
-    if (!c->readU32(&out->generation) || !c->readDouble(&out->bestMs) ||
-        !c->readDouble(&out->meanMs) || !c->readSize(&out->validCount) ||
-        !c->readSize(&out->evaluations) || !c->readSize(&out->cacheHits) ||
-        !c->readSize(&out->cacheMisses) ||
-        !c->readSize(&out->workerCrashes) ||
-        !c->readSize(&out->workerTimeouts) ||
-        !c->readSize(&out->protocolErrors) ||
-        !c->readSize(&out->quarantineHits) ||
-        !c->readSize(&out->paretoFrontSize) || !c->readString(&edits) ||
-        !mut::deserializeEdits(edits, &out->bestEdits) ||
-        !c->readU32(&islandCount))
-        return false;
-    out->islandBestMs.resize(islandCount);
-    for (auto& ms : out->islandBestMs) {
-        if (!c->readDouble(&ms))
-            return false;
-    }
-    std::uint32_t ratesCount = 0;
-    if (!c->readU32(&ratesCount) || ratesCount > 4096)
-        return false;
-    out->islandRates.resize(ratesCount);
-    for (auto& rates : out->islandRates) {
-        if (!parseSamplerConfig(c, &rates))
-            return false;
-    }
-    return true;
+    std::size_t islandCount = 0;
+    std::size_t ratesCount = 0;
+    return in->u32(&out->generation) && in->f64(&out->bestMs) &&
+           in->f64(&out->meanMs) && in->size(&out->validCount) &&
+           in->size(&out->evaluations) && in->size(&out->cacheHits) &&
+           in->size(&out->cacheMisses) && in->size(&out->workerCrashes) &&
+           in->size(&out->workerTimeouts) && in->size(&out->protocolErrors) &&
+           in->size(&out->quarantineHits) &&
+           in->size(&out->paretoFrontSize) && in->str(&edits) &&
+           mut::deserializeEdits(edits, &out->bestEdits) &&
+           in->count(&islandCount) &&
+           in->list(islandCount, 8, &out->islandBestMs, &Reader::f64) &&
+           in->count(&ratesCount) && ratesCount <= 4096 &&
+           in->list(ratesCount, kSamplerConfigBytes, &out->islandRates,
+                    parseSamplerConfig) &&
+           in->done();
 }
 
-/// Pull the next CRC-framed record payload out of \p bytes at \p pos.
-/// False on truncation, oversize, or CRC mismatch — all Corrupt.
 bool
-nextRecord(const std::string& bytes, std::size_t* pos, Cursor* out)
+parseIsland(Reader* in, CheckpointIsland* out)
 {
-    if (bytes.size() - *pos < kRecordHeader)
-        return false;
-    const std::uint32_t len = readLeU32(bytes.data() + *pos);
-    const std::uint32_t crc = readLeU32(bytes.data() + *pos + 4);
-    if (len > kMaxPayload || bytes.size() - *pos - kRecordHeader < len)
-        return false;
-    const char* payload = bytes.data() + *pos + kRecordHeader;
-    if (crc32(payload, len) != crc)
-        return false;
-    *pos += kRecordHeader + len;
-    *out = Cursor{payload, len};
-    return true;
-}
-
-void
-appendRecord(std::string* out, const std::string& payload)
-{
-    appendLeU32(out, static_cast<std::uint32_t>(payload.size()));
-    appendLeU32(out, crc32(payload.data(), payload.size()));
-    out->append(payload);
+    for (auto& word : out->rngState) {
+        if (!in->u64(&word))
+            return false;
+    }
+    std::size_t memberCount = 0;
+    return in->f64(&out->bestMs) && in->size(&memberCount) &&
+           in->list(memberCount, kMinIndividual, &out->members,
+                    parseIndividual) &&
+           parseSamplerConfig(in, &out->rates) &&
+           parseSamplerConfig(in, &out->candidateRates) &&
+           in->flag(&out->ratePending) && in->f64(&out->rateLastBest) &&
+           in->done();
 }
 
 } // namespace
@@ -263,136 +128,66 @@ CheckpointLoadResult
 loadCheckpoint(const std::string& path, std::uint64_t expectedScope)
 {
     CheckpointLoadResult res;
+    std::string bytes;
+    res.status =
+        readFileChecked(path, kFormat, expectedScope, &bytes, &res.message);
+    if (res.status != CheckpointLoadResult::Status::Ok)
+        return res;
+
     auto corrupt = [&](const char* what) {
         res.status = CheckpointLoadResult::Status::Corrupt;
         res.state = CheckpointState{};
         res.message = strformat("damaged checkpoint (%s)", what);
         return res;
     };
-
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        res.status = CheckpointLoadResult::Status::Missing;
-        return res;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        res.status = CheckpointLoadResult::Status::BadHeader;
-        res.message = "read error";
-        return res;
-    }
-    if (bytes.size() < kHeaderSize ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-        res.status = CheckpointLoadResult::Status::BadHeader;
-        res.message = "not a gevo checkpoint file";
-        return res;
-    }
-    const std::uint32_t version = readLeU32(bytes.data() + sizeof(kMagic));
-    if (version != kCheckpointVersion) {
-        res.status = CheckpointLoadResult::Status::VersionMismatch;
-        res.message = strformat("format version %u, expected %u", version,
-                                kCheckpointVersion);
-        return res;
-    }
-    const std::uint64_t scope = readLeU64(bytes.data() + sizeof(kMagic) + 4);
-    if (expectedScope != 0 && scope != expectedScope) {
-        res.status = CheckpointLoadResult::Status::ScopeMismatch;
-        res.message = "saved by a trajectory-incompatible search "
-                      "(different workload, seed or parameters)";
-        return res;
-    }
-
-    std::size_t pos = kHeaderSize;
-    Cursor c{nullptr, 0};
+    std::size_t pos = kFileHeaderSize;
+    Reader in{{}};
+    auto next = [&] { return nextRecord(bytes, &pos, &in); };
 
     // meta: generation | finished | baselineMs | islands | history
     // | quarantine | pareto-front counts.
-    std::uint8_t finished = 0;
     std::size_t islandCount = 0;
     std::size_t historyCount = 0;
     std::size_t quarantineCount = 0;
     std::size_t frontCount = 0;
-    if (!nextRecord(bytes, &pos, &c))
+    if (!next() || !in.u32(&res.state.generation) ||
+        !in.flag(&res.state.finished) || !in.f64(&res.state.baselineMs) ||
+        !in.size(&islandCount) || !in.size(&historyCount) ||
+        !in.size(&quarantineCount) || !in.size(&frontCount) || !in.done())
         return corrupt("meta record");
-    if (!c.readU32(&res.state.generation) || !c.readU8(&finished) ||
-        !c.readDouble(&res.state.baselineMs) ||
-        !c.readSize(&islandCount) || !c.readSize(&historyCount) ||
-        !c.readSize(&quarantineCount) || !c.readSize(&frontCount) ||
-        !c.atEnd())
-        return corrupt("meta record");
-    res.state.finished = finished != 0;
-    // Count sanity: a corrupted-but-CRC-valid meta must not drive
-    // gigabyte allocations.
     if (islandCount > 4096 || historyCount > (1u << 24) ||
         quarantineCount > (1u << 24) || frontCount > (1u << 24))
         return corrupt("meta counts");
 
-    if (!nextRecord(bytes, &pos, &c) ||
-        !parseIndividual(&c, &res.state.best) || !c.atEnd())
+    if (!next() || !parseIndividual(&in, &res.state.best) || !in.done())
         return corrupt("best-individual record");
 
-    res.state.islands.resize(islandCount);
-    for (auto& island : res.state.islands) {
-        if (!nextRecord(bytes, &pos, &c))
-            return corrupt("island record");
-        for (auto& word : island.rngState) {
-            if (!c.readU64(&word))
-                return corrupt("island record");
-        }
-        std::size_t memberCount = 0;
-        if (!c.readDouble(&island.bestMs) || !c.readSize(&memberCount) ||
-            memberCount > (1u << 24))
-            return corrupt("island record");
-        island.members.resize(memberCount);
-        for (auto& member : island.members) {
-            if (!parseIndividual(&c, &member))
-                return corrupt("island member");
-        }
-        std::uint8_t ratePending = 0;
-        if (!parseSamplerConfig(&c, &island.rates) ||
-            !parseSamplerConfig(&c, &island.candidateRates) ||
-            !c.readU8(&ratePending) ||
-            !c.readDouble(&island.rateLastBest))
-            return corrupt("island rate state");
-        island.ratePending = ratePending != 0;
-        if (!c.atEnd())
+    // Islands and history are one record each: they are appended as
+    // their records arrive, so a lying count runs out of file instead of
+    // pre-sizing the vectors.
+    for (std::size_t i = 0; i < islandCount; ++i) {
+        if (!next() || !parseIsland(&in, &res.state.islands.emplace_back()))
             return corrupt("island record");
     }
-
-    res.state.history.resize(historyCount);
-    for (auto& log : res.state.history) {
-        if (!nextRecord(bytes, &pos, &c) || !parseLog(&c, &log) ||
-            !c.atEnd())
+    for (std::size_t g = 0; g < historyCount; ++g) {
+        if (!next() || !parseLog(&in, &res.state.history.emplace_back()))
             return corrupt("history record");
     }
 
-    if (!nextRecord(bytes, &pos, &c))
+    if (!next() ||
+        !in.list(quarantineCount, 4, &res.state.quarantine, &Reader::str) ||
+        !in.done())
         return corrupt("quarantine record");
-    res.state.quarantine.resize(quarantineCount);
-    for (auto& key : res.state.quarantine) {
-        if (!c.readString(&key))
-            return corrupt("quarantine record");
-    }
-    if (!c.atEnd())
-        return corrupt("quarantine record");
-
-    if (!nextRecord(bytes, &pos, &c))
-        return corrupt("pareto-front record");
-    res.state.paretoFront.resize(frontCount);
-    for (auto& ind : res.state.paretoFront) {
-        if (!parseIndividual(&c, &ind))
-            return corrupt("pareto-front record");
-    }
-    if (!c.atEnd())
+    if (!next() ||
+        !in.list(frontCount, kMinIndividual, &res.state.paretoFront,
+                 parseIndividual) ||
+        !in.done())
         return corrupt("pareto-front record");
 
     // One consistent state means exactly these records: trailing bytes
     // are damage (or a writer this version does not understand).
     if (pos != bytes.size())
         return corrupt("trailing bytes");
-
-    res.status = CheckpointLoadResult::Status::Ok;
     return res;
 }
 
@@ -401,86 +196,46 @@ saveCheckpoint(const std::string& path, std::uint64_t scope,
                const CheckpointState& state, std::string* error)
 {
     std::string out;
-    out.append(kMagic, sizeof(kMagic));
-    appendLeU32(&out, kCheckpointVersion);
-    appendLeU64(&out, scope);
+    appendFileHeader(&out, kFormat, scope);
 
-    std::string payload;
-    appendLeU32(&payload, state.generation);
-    payload.push_back(state.finished ? 1 : 0);
-    appendDouble(&payload, state.baselineMs);
-    appendLeU64(&payload, state.islands.size());
-    appendLeU64(&payload, state.history.size());
-    appendLeU64(&payload, state.quarantine.size());
-    appendLeU64(&payload, state.paretoFront.size());
-    appendRecord(&out, payload);
-
-    payload.clear();
-    appendIndividual(&payload, state.best);
-    appendRecord(&out, payload);
-
+    appendRecord(&out, [&] {
+        appendLeU32(&out, state.generation);
+        out.push_back(state.finished ? 1 : 0);
+        appendDouble(&out, state.baselineMs);
+        appendLeU64(&out, state.islands.size());
+        appendLeU64(&out, state.history.size());
+        appendLeU64(&out, state.quarantine.size());
+        appendLeU64(&out, state.paretoFront.size());
+    });
+    appendRecord(&out, [&] { appendIndividual(&out, state.best); });
     for (const auto& island : state.islands) {
-        payload.clear();
-        for (const std::uint64_t word : island.rngState)
-            appendLeU64(&payload, word);
-        appendDouble(&payload, island.bestMs);
-        appendLeU64(&payload, island.members.size());
-        for (const auto& member : island.members)
-            appendIndividual(&payload, member);
-        appendSamplerConfig(&payload, island.rates);
-        appendSamplerConfig(&payload, island.candidateRates);
-        payload.push_back(island.ratePending ? 1 : 0);
-        appendDouble(&payload, island.rateLastBest);
-        appendRecord(&out, payload);
+        appendRecord(&out, [&] {
+            for (const std::uint64_t word : island.rngState)
+                appendLeU64(&out, word);
+            appendDouble(&out, island.bestMs);
+            appendLeU64(&out, island.members.size());
+            for (const auto& member : island.members)
+                appendIndividual(&out, member);
+            appendSamplerConfig(&out, island.rates);
+            appendSamplerConfig(&out, island.candidateRates);
+            out.push_back(island.ratePending ? 1 : 0);
+            appendDouble(&out, island.rateLastBest);
+        });
     }
+    for (const auto& log : state.history)
+        appendRecord(&out, [&] { appendLog(&out, log); });
+    appendRecord(&out, [&] {
+        for (const auto& key : state.quarantine)
+            appendString(&out, key);
+    });
+    appendRecord(&out, [&] {
+        for (const auto& ind : state.paretoFront)
+            appendIndividual(&out, ind);
+    });
 
-    for (const auto& log : state.history) {
-        payload.clear();
-        appendLog(&payload, log);
-        appendRecord(&out, payload);
-    }
-
-    payload.clear();
-    for (const auto& key : state.quarantine)
-        appendString(&payload, key);
-    appendRecord(&out, payload);
-
-    payload.clear();
-    for (const auto& ind : state.paretoFront)
-        appendIndividual(&payload, ind);
-    appendRecord(&out, payload);
-
-    // Same atomic-replace discipline as saveCacheStore: process-unique
-    // temp, then rename over the target.
-    static std::atomic<std::uint64_t> saveCounter{0};
-    const std::string tmp = strformat(
-        "%s.tmp.%llu.%llu", path.c_str(),
-        static_cast<unsigned long long>(::getpid()),
-        static_cast<unsigned long long>(
-            saveCounter.fetch_add(1, std::memory_order_relaxed)));
-    {
-        std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-        if (!file) {
-            if (error)
-                *error = "cannot open '" + tmp + "' for writing";
-            return false;
-        }
+    return writeFileAtomic(path, [&](std::ostream& file) {
         file.write(out.data(), static_cast<std::streamsize>(out.size()));
-        file.flush();
-        if (!file.good()) {
-            if (error)
-                *error = "write to '" + tmp + "' failed";
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        if (error)
-            *error = "rename '" + tmp + "' -> '" + path + "' failed";
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    }, error);
 }
 
 } // namespace gevo::core

@@ -13,12 +13,13 @@
 /// resumed run may re-simulate work a warm cache would have served —
 /// cacheHits/cacheMisses wobble, the trajectory does not.
 ///
-/// File format (all integers little-endian), following the cache-store
-/// discipline — magic + version + scope header, CRC-32 framed records,
-/// atomic temp+rename saves — with one deliberate difference: any damage
-/// anywhere rejects the WHOLE file. The cache keeps its good prefix
-/// because records are independent; a checkpoint is one consistent state,
-/// and resuming from half of it would silently fork the trajectory.
+/// File format (core/codec.h, shared with the cache store and the wire):
+/// magic + version + scope header, CRC-32 framed records, atomic
+/// temp+rename saves, with one deliberate difference from the cache
+/// store: any damage anywhere rejects the WHOLE file. The cache keeps its
+/// good prefix because records are independent; a checkpoint is one
+/// consistent state, and resuming from half of it would silently fork
+/// the trajectory.
 ///
 ///   header   "GEVOCKPT" magic (8 bytes) + u32 format version
 ///            + u64 scope fingerprint
@@ -43,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "core/codec.h"
 #include "core/engine.h"
 #include "core/population.h"
 
@@ -99,14 +101,8 @@ struct CheckpointState {
 
 /// Outcome of reading a checkpoint file.
 struct CheckpointLoadResult {
-    enum class Status {
-        Ok,              ///< `state` holds the complete snapshot.
-        Missing,         ///< No file at the path.
-        BadHeader,       ///< Too short / wrong magic.
-        VersionMismatch, ///< Another format version.
-        ScopeMismatch,   ///< Saved by a trajectory-incompatible search.
-        Corrupt,         ///< Damaged anywhere — whole file rejected.
-    };
+    /// Corrupt means damaged anywhere: the whole file is rejected.
+    using Status = FileStatus;
 
     Status status = Status::Missing;
     CheckpointState state;

@@ -41,24 +41,10 @@ void
 countFailure(GenerationLog* log, EvalFailure failure)
 {
     switch (failure) {
-      // The remote kinds fold into the three original counters (a lost
-      // connection is a crashed worker, a blown RPC deadline is a
-      // timeout, a rejected handshake is a protocol fault), so the
-      // --dump-history line format is identical across backends.
-      case EvalFailure::WorkerCrash:
-      case EvalFailure::ConnectionLost:
-        ++log->workerCrashes;
-        break;
-      case EvalFailure::WorkerTimeout:
-      case EvalFailure::RpcTimeout:
-        ++log->workerTimeouts;
-        break;
-      case EvalFailure::ProtocolError:
-      case EvalFailure::HandshakeRejected:
-        ++log->protocolErrors;
-        break;
-      case EvalFailure::None:
-        break;
+      case EvalFailure::WorkerCrash: ++log->workerCrashes; break;
+      case EvalFailure::WorkerTimeout: ++log->workerTimeouts; break;
+      case EvalFailure::ProtocolError: ++log->protocolErrors; break;
+      case EvalFailure::None: break;
     }
 }
 
@@ -377,6 +363,7 @@ EvolutionEngine::loadPersistentCaches()
     case Status::BadHeader:
     case Status::VersionMismatch:
     case Status::ScopeMismatch:
+    case Status::Corrupt:
         warn("ignoring cache file '%s' (%s): cold start",
              params_.cachePath.c_str(), load.message.c_str());
         return 0;

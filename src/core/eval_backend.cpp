@@ -1,7 +1,6 @@
 #include "core/eval_backend.h"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -15,9 +14,8 @@
 #include <time.h>
 #include <unistd.h>
 
-#include "core/cache_store.h" // crc32 — the pipe frames reuse it.
+#include "core/codec.h"
 #include "core/fault_inject.h"
-#include "support/bytes.h"
 #include "support/io.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -33,9 +31,6 @@ evalFailureName(EvalFailure failure)
       case EvalFailure::WorkerCrash: return "crash";
       case EvalFailure::WorkerTimeout: return "timeout";
       case EvalFailure::ProtocolError: return "protocol";
-      case EvalFailure::ConnectionLost: return "connection-lost";
-      case EvalFailure::HandshakeRejected: return "handshake-rejected";
-      case EvalFailure::RpcTimeout: return "rpc-timeout";
     }
     return "?";
 }
@@ -150,12 +145,6 @@ class InProcessBackend final : public EvaluationBackend {
 
 // ---- isolated (fork-per-batch) backend ----
 
-/// Response-frame header: u32 magic | u32 payloadLen | u32 crc32(payload).
-constexpr std::uint32_t kFrameMagic = 0x52564547u; // "GEVR"
-constexpr std::size_t kFrameHeader = 12;
-/// Sanity bound on one response payload (fail reasons and program keys
-/// are at most tens of KB); anything larger is protocol corruption.
-constexpr std::size_t kMaxFramePayload = std::size_t{1} << 26;
 /// Request task index meaning "exit cleanly".
 constexpr std::uint32_t kShutdownTask = 0xffffffffu;
 /// Request message: u32 taskIndex | u64 sequence number.
@@ -200,7 +189,7 @@ class IsolatedBackend final : public EvaluationBackend {
         while (done < batch.size()) {
             dispatchIdle(ws, batch, programCache, &nextTask, &done, seqBase,
                          out);
-            awaitResponses(ws, batch, programCache, &done, out);
+            awaitResponses(ws, programCache, &done, out);
         }
         for (auto& w : ws)
             shutdownWorker(&w);
@@ -227,7 +216,8 @@ class IsolatedBackend final : public EvaluationBackend {
         bool busy = false;
         std::uint32_t task = 0;
         Clock::time_point deadline{};
-        std::string buf; ///< Partially received response bytes.
+        /// Responses: stream frames holding u32 task | EvalOutcome.
+        FrameReader reader;
     };
 
     [[noreturn]] void
@@ -235,6 +225,7 @@ class IsolatedBackend final : public EvaluationBackend {
                const std::vector<const std::vector<mut::Edit>*>& batch,
                VariantCache* programCache) const
     {
+        std::string payload;
         for (;;) {
             char req[kRequestSize];
             if (!readFull(reqFd, req, sizeof(req)))
@@ -251,12 +242,9 @@ class IsolatedBackend final : public EvaluationBackend {
                     faultCrash();
                   case FaultKind::Hang:
                     faultHang();
-                  case FaultKind::Garbage: {
-                    static constexpr char junk[] = "these bytes are not a "
-                                                   "response frame";
-                    writeAll(respFd, junk, sizeof(junk));
+                  case FaultKind::Garbage:
+                    faultGarbage(respFd);
                     std::_Exit(0);
-                  }
                   case FaultKind::Disconnect:
                   case FaultKind::Delay:
                   case FaultKind::Truncate:
@@ -267,30 +255,10 @@ class IsolatedBackend final : public EvaluationBackend {
             const EvalOutcome outcome = evaluateTask(
                 compiler_, fitness_, *batch[task], programCache, &programKey);
 
-            std::string payload;
+            payload.clear();
             appendLeU32(&payload, task);
-            payload.push_back(outcome.result.valid ? 1 : 0);
-            appendLeU32(&payload,
-                        static_cast<std::uint32_t>(
-                            outcome.result.objectives.size()));
-            for (const double v : outcome.result.objectives)
-                appendLeU64(&payload, std::bit_cast<std::uint64_t>(v));
-            appendLeU32(&payload, static_cast<std::uint32_t>(
-                                      outcome.result.failReason.size()));
-            payload.append(outcome.result.failReason);
-            payload.push_back(outcome.simulated ? 1 : 0);
-            payload.push_back(outcome.rejected ? 1 : 0);
-            appendLeU32(&payload,
-                        static_cast<std::uint32_t>(programKey.size()));
-            payload.append(programKey);
-
-            std::string frame;
-            appendLeU32(&frame, kFrameMagic);
-            appendLeU32(&frame,
-                        static_cast<std::uint32_t>(payload.size()));
-            appendLeU32(&frame, crc32(payload.data(), payload.size()));
-            frame.append(payload);
-            if (!writeAll(respFd, frame.data(), frame.size()))
+            appendOutcome(&payload, outcome, programKey);
+            if (!writeFrame(respFd, payload))
                 std::_Exit(4); // Parent went away.
         }
     }
@@ -329,7 +297,7 @@ class IsolatedBackend final : public EvaluationBackend {
         w->reqFd = req[1];
         w->respFd = resp[0];
         w->busy = false;
-        w->buf.clear();
+        w->reader.reset();
     }
 
     /// Close the parent-side pipes and collect the exit status. Safe on a
@@ -349,7 +317,7 @@ class IsolatedBackend final : public EvaluationBackend {
         }
         w->pid = -1;
         w->busy = false;
-        w->buf.clear();
+        w->reader.reset();
     }
 
     void
@@ -360,25 +328,27 @@ class IsolatedBackend final : public EvaluationBackend {
         reapWorker(w);
     }
 
+    static bool
+    sendRequest(const Worker& w, std::uint32_t task, std::uint64_t seq)
+    {
+        std::string msg;
+        appendLeU32(&msg, task);
+        appendLeU64(&msg, seq);
+        return writeAll(w.reqFd, msg.data(), msg.size());
+    }
+
     void
     shutdownWorker(Worker* w) const
     {
-        if (w->pid > 0 && w->reqFd >= 0) {
-            std::string msg;
-            appendLeU32(&msg, kShutdownTask);
-            appendLeU64(&msg, 0);
-            writeAll(w->reqFd, msg.data(), msg.size()); // Best effort.
-        }
+        if (w->pid > 0 && w->reqFd >= 0)
+            sendRequest(*w, kShutdownTask, 0); // Best effort.
         reapWorker(w);
     }
 
     bool
     dispatch(Worker* w, std::uint32_t task, std::uint64_t seq) const
     {
-        std::string msg;
-        appendLeU32(&msg, task);
-        appendLeU64(&msg, seq);
-        if (!writeAll(w->reqFd, msg.data(), msg.size()))
+        if (!sendRequest(*w, task, seq))
             return false;
         w->busy = true;
         w->task = task;
@@ -409,12 +379,7 @@ class IsolatedBackend final : public EvaluationBackend {
                 FitnessResult::fail("evaluation worker protocol error");
             break;
           case EvalFailure::None:
-          case EvalFailure::ConnectionLost:
-          case EvalFailure::HandshakeRejected:
-          case EvalFailure::RpcTimeout:
-            GEVO_PANIC("failureOutcome(%d): not an isolated-backend "
-                       "failure kind",
-                       static_cast<int>(failure));
+            GEVO_PANIC("failureOutcome(None)");
         }
         return out;
     }
@@ -452,10 +417,8 @@ class IsolatedBackend final : public EvaluationBackend {
     /// Block until a busy worker responds, dies, or times out; settle
     /// every event observed.
     void
-    awaitResponses(std::vector<Worker>& ws,
-                   const std::vector<const std::vector<mut::Edit>*>& batch,
-                   VariantCache* programCache, std::size_t* done,
-                   std::vector<EvalOutcome>* out) const
+    awaitResponses(std::vector<Worker>& ws, VariantCache* programCache,
+                   std::size_t* done, std::vector<EvalOutcome>* out) const
     {
         std::vector<pollfd> fds;
         std::vector<std::size_t> owner;
@@ -500,7 +463,6 @@ class IsolatedBackend final : public EvaluationBackend {
             (*out)[task] = failureOutcome(EvalFailure::WorkerTimeout);
             ++*done;
         }
-        (void)batch;
     }
 
     /// Read whatever the worker has written and settle complete frames.
@@ -508,16 +470,13 @@ class IsolatedBackend final : public EvaluationBackend {
     drainWorker(Worker* w, VariantCache* programCache, std::size_t* done,
                 std::vector<EvalOutcome>* out) const
     {
-        char tmp[4096];
-        const ssize_t r = ::read(w->respFd, tmp, sizeof(tmp));
-        if (r < 0) {
-            if (errno == EINTR || errno == EAGAIN)
-                return;
-            // Unreadable pipe: treat like a death.
-        }
+        const ssize_t r = w->reader.fill(w->respFd);
+        if (r < 0 && errno == EAGAIN)
+            return;
         if (r <= 0) {
-            // EOF: the worker died (segfault, abort, OOM kill, or a
-            // garbage-then-exit) with a task still in flight.
+            // EOF (or an unreadable pipe): the worker died (segfault,
+            // abort, OOM kill, or a garbage-then-exit) with a task still
+            // in flight.
             const bool hadTask = w->busy;
             const std::uint32_t task = w->task;
             reapWorker(w);
@@ -527,25 +486,24 @@ class IsolatedBackend final : public EvaluationBackend {
             }
             return;
         }
-        w->buf.append(tmp, static_cast<std::size_t>(r));
 
-        while (w->busy && w->buf.size() >= kFrameHeader) {
-            const std::uint32_t magic = readLeU32(w->buf.data());
-            const std::uint32_t len = readLeU32(w->buf.data() + 4);
-            const std::uint32_t crc = readLeU32(w->buf.data() + 8);
-            if (magic != kFrameMagic || len > kMaxFramePayload) {
+        std::string payload;
+        while (w->busy) {
+            switch (w->reader.next(&payload)) {
+              case FrameReader::Status::NeedMore:
+                return; // Frame still in flight.
+              case FrameReader::Status::Corrupt:
                 settleProtocolError(w, done, out);
                 return;
+              case FrameReader::Status::Frame:
+                break;
             }
-            if (w->buf.size() - kFrameHeader < len)
-                return; // Frame still in flight.
-            const char* payload = w->buf.data() + kFrameHeader;
+            Reader in(payload);
+            std::uint32_t task = 0;
             EvalOutcome outcome;
             std::string programKey;
-            std::uint32_t task = 0;
-            if (crc32(payload, len) != crc ||
-                !parsePayload(payload, len, &task, &outcome, &programKey) ||
-                task != w->task) {
+            if (!in.u32(&task) || task != w->task ||
+                !readOutcome(&in, &outcome, &programKey) || !in.done()) {
                 settleProtocolError(w, done, out);
                 return;
             }
@@ -553,12 +511,11 @@ class IsolatedBackend final : public EvaluationBackend {
             // space; replay it against the live cache.
             if (programCache != nullptr && !programKey.empty())
                 programCache->insert(programKey, outcome.result);
-            (*out)[task] = outcome;
+            (*out)[task] = std::move(outcome);
             ++*done;
             w->busy = false;
-            w->buf.erase(0, kFrameHeader + len);
         }
-        if (!w->busy && !w->buf.empty()) {
+        if (w->reader.pending() > 0) {
             // Bytes with no request in flight: the worker is confused.
             // Nothing to score; just replace it.
             killWorker(w);
@@ -573,48 +530,6 @@ class IsolatedBackend final : public EvaluationBackend {
         killWorker(w);
         (*out)[task] = failureOutcome(EvalFailure::ProtocolError);
         ++*done;
-    }
-
-    static bool
-    parsePayload(const char* p, std::size_t size, std::uint32_t* task,
-                 EvalOutcome* out, std::string* programKey)
-    {
-        std::size_t pos = 0;
-        auto need = [&](std::size_t n) { return pos + n <= size; };
-        if (!need(4 + 1 + 4))
-            return false;
-        *task = readLeU32(p + pos);
-        pos += 4;
-        out->result.valid = p[pos] != 0;
-        pos += 1;
-        const std::uint32_t objCount = readLeU32(p + pos);
-        pos += 4;
-        if (objCount > 64 || !need(std::size_t{objCount} * 8 + 4))
-            return false;
-        out->result.objectives.resize(objCount);
-        for (auto& v : out->result.objectives) {
-            v = std::bit_cast<double>(readLeU64(p + pos));
-            pos += 8;
-        }
-        const std::uint32_t reasonLen = readLeU32(p + pos);
-        pos += 4;
-        if (!need(reasonLen))
-            return false;
-        out->result.failReason.assign(p + pos, reasonLen);
-        pos += reasonLen;
-        if (!need(1 + 1 + 4))
-            return false;
-        out->simulated = p[pos] != 0;
-        pos += 1;
-        out->rejected = p[pos] != 0;
-        pos += 1;
-        const std::uint32_t keyLen = readLeU32(p + pos);
-        pos += 4;
-        if (!need(keyLen))
-            return false;
-        programKey->assign(p + pos, keyLen);
-        pos += keyLen;
-        return pos == size;
     }
 
     /// Precompiled before any fork: workers inherit the cleaned base and

@@ -35,12 +35,14 @@
 /// deterministically injects failures by global evaluation sequence
 /// number, e.g. "crash@12" (the 13th dispatched evaluation segfaults),
 /// "hang@3" (sleeps until the watchdog kills it), "garbage@7" (an
-/// isolated worker writes a malformed response frame), with a comma-
-/// separated list and a "+" suffix meaning "this one and every later
-/// evaluation" ("crash@5+"). Crash and hang apply to both backends (in
-/// process they take the host down — that is the demonstration); garbage
-/// is isolated-only. The spec is re-read per backend construction and
-/// sequence numbers are per-backend, so tests stay independent.
+/// out-of-process worker writes a malformed response frame), with a
+/// comma-separated list and a "+" suffix meaning "this one and every
+/// later evaluation" ("crash@5+"). Crash and hang apply to every backend
+/// (in process they take the host down — that is the demonstration);
+/// garbage applies to isolated workers and farm sessions, which speak
+/// the core/codec.h stream frames. The spec is re-read per backend
+/// construction and sequence numbers are per-backend, so tests stay
+/// independent.
 
 #ifndef GEVO_CORE_EVAL_BACKEND_H
 #define GEVO_CORE_EVAL_BACKEND_H
@@ -60,24 +62,21 @@ namespace gevo::core {
 /// How an evaluation failed to produce a genuine pipeline result. None
 /// means the pipeline ran to completion (the FitnessResult itself may
 /// still be invalid — a verifier rejection or wrong output — but that is
-/// a property of the variant, not of the evaluation machinery).
+/// a property of the variant, not of the evaluation machinery). The
+/// three failure kinds are exactly GenerationLog's three counters, on
+/// every backend.
 enum class EvalFailure : std::uint8_t {
     None = 0,
-    WorkerCrash,   ///< The evaluating process died (segfault/abort/OOM).
-    WorkerTimeout, ///< The watchdog killed an evaluation over budget.
-    ProtocolError, ///< The worker returned an undecodable response.
-    // Remote-backend (farm) kinds. GenerationLog counters fold these into
-    // the three above (connection loss counts as a crash, an RPC deadline
-    // as a timeout, a handshake rejection as a protocol error) so the
-    // --dump-history format is backend-independent.
-    ConnectionLost,    ///< The transport died mid-evaluation, repeatedly.
-    HandshakeRejected, ///< Every redispatch landed on a worker that now
-                       ///< rejects the trajectory-scope handshake.
-    RpcTimeout,        ///< No reply within the per-evaluation deadline.
+    /// The evaluating process died (segfault/abort/OOM), or a remote
+    /// worker's connection was lost mid-evaluation.
+    WorkerCrash,
+    /// The watchdog or the remote per-evaluation deadline expired.
+    WorkerTimeout,
+    /// The worker returned an undecodable or corrupt response.
+    ProtocolError,
 };
 
-/// Human-readable failure name ("crash", "timeout", "protocol",
-/// "connection-lost", "handshake-rejected", "rpc-timeout").
+/// Human-readable failure name ("none", "crash", "timeout", "protocol").
 std::string_view evalFailureName(EvalFailure failure);
 
 /// Outcome of one dispatched evaluation.

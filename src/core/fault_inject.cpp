@@ -7,6 +7,7 @@
 
 #include <time.h>
 
+#include "support/io.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
@@ -85,6 +86,13 @@ faultHang()
         struct timespec ts = {1, 0};
         nanosleep(&ts, nullptr);
     }
+}
+
+void
+faultGarbage(int fd)
+{
+    static constexpr char junk[] = "these bytes are not a response frame";
+    writeAll(fd, junk, sizeof(junk));
 }
 
 } // namespace gevo::core

@@ -66,6 +66,10 @@ std::optional<FaultKind> faultFor(const std::vector<FaultSpec>& specs,
 /// failure mode the isolated/remote backends exist to contain).
 [[noreturn]] void faultHang();
 
+/// Write bytes that are not a stream frame (wrong magic) to \p fd: the
+/// corrupt-response path of every out-of-process evaluator.
+void faultGarbage(int fd);
+
 } // namespace gevo::core
 
 #endif // GEVO_CORE_FAULT_INJECT_H

@@ -167,9 +167,9 @@ struct EvolutionParams {
     /// Per-evaluation wall-clock watchdog budget, applied uniformly to
     /// every out-of-process path: the isolated backend kills the worker
     /// and scores a WorkerTimeout penalty; the remote backend treats a
-    /// silent connection as dead after this budget (RpcTimeout after the
-    /// redispatch strikes are exhausted). Ignored by the in-process
-    /// backend.
+    /// silent connection as dead after this budget (a WorkerTimeout
+    /// once the redispatch strikes are exhausted). Ignored by the
+    /// in-process backend.
     std::uint32_t evalTimeoutMs = 30000;
     /// Remote-backend worker endpoints: comma-separated "host:port" or
     /// "unix:/path" entries. Required when backend == Remote.

@@ -224,11 +224,11 @@ class RemoteBackend final : public core::EvaluationBackend {
         EvalOutcome out;
         out.failure = failure;
         switch (failure) {
-          case EvalFailure::ConnectionLost:
+          case EvalFailure::WorkerCrash:
             out.result = core::FitnessResult::fail(
                 "remote evaluation connection lost");
             break;
-          case EvalFailure::RpcTimeout:
+          case EvalFailure::WorkerTimeout:
             out.result = core::FitnessResult::fail(
                 strformat("remote evaluation exceeded the %u ms deadline",
                           timeoutMs_));
@@ -237,12 +237,8 @@ class RemoteBackend final : public core::EvaluationBackend {
             out.result = core::FitnessResult::fail(
                 "remote worker protocol error");
             break;
-          case EvalFailure::HandshakeRejected:
-            out.result = core::FitnessResult::fail(
-                "remote worker rejected the trajectory handshake");
-            break;
-          default:
-            GEVO_PANIC("penaltyOutcome(%d)", static_cast<int>(failure));
+          case EvalFailure::None:
+            GEVO_PANIC("penaltyOutcome(None)");
         }
         return out;
     }
@@ -256,7 +252,7 @@ class RemoteBackend final : public core::EvaluationBackend {
         Task& t = tasks_[task];
         ++t.strikes;
         t.lastStrike = kind;
-        if (kind == EvalFailure::RpcTimeout)
+        if (kind == EvalFailure::WorkerTimeout)
             ++counters_.rpcTimeouts;
         if (t.strikes >= kStrikes) {
             (*out_)[task] = penaltyOutcome(kind);
@@ -298,13 +294,8 @@ class RemoteBackend final : public core::EvaluationBackend {
         for (auto& r : remotes_) {
             if (!r.up || !r.inflight.empty())
                 continue;
-            const std::string frame = [&] {
-                std::string f;
-                appendFrame(&f, encodePing(nextSeq_));
-                return f;
-            }();
-            if (!writeAll(r.fd, frame.data(), frame.size()))
-                connectionLost(&r, EvalFailure::ConnectionLost);
+            if (!writeFrame(r.fd, encodePing(nextSeq_)))
+                connectionLost(&r, EvalFailure::WorkerCrash);
         }
     }
 
@@ -321,9 +312,7 @@ class RemoteBackend final : public core::EvaluationBackend {
         HelloMsg hello;
         hello.scope = scope_;
         hello.timeoutMs = timeoutMs_;
-        std::string frame;
-        appendFrame(&frame, encodeHello(hello));
-        if (!writeAll(fd, frame.data(), frame.size())) {
+        if (!writeFrame(fd, encodeHello(hello))) {
             ::close(fd);
             ++r->attempts;
             r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
@@ -353,17 +342,12 @@ class RemoteBackend final : public core::EvaluationBackend {
                        static_cast<int>(std::max<long long>(left.count(), 0)));
             if (rc < 0 && errno == EINTR)
                 continue;
-            char tmp[4096];
-            const ssize_t n = rc > 0 ? ::read(fd, tmp, sizeof(tmp)) : 0;
-            if (rc > 0 && n < 0 && errno == EINTR)
-                continue;
-            if (rc == 0 || n <= 0) {
+            if (rc <= 0 || reader.fill(fd) <= 0) {
                 ::close(fd);
                 ++r->attempts;
                 r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
                 return;
             }
-            reader.push(tmp, static_cast<std::size_t>(n));
         }
         std::string text;
         if (decodeHelloOk(payload, &text)) {
@@ -432,7 +416,7 @@ class RemoteBackend final : public core::EvaluationBackend {
                 // The dial looked live but the send failed: strike the
                 // connection's front (if any) and retry this task on the
                 // next loop — it was never in flight here.
-                connectionLost(target, EvalFailure::ConnectionLost);
+                connectionLost(target, EvalFailure::WorkerCrash);
                 continue;
             }
             pending_.pop_front();
@@ -493,22 +477,20 @@ class RemoteBackend final : public core::EvaluationBackend {
         const auto after = Clock::now();
         for (auto& r : remotes_) {
             if (r.up && !r.inflight.empty() && after >= r.frontDeadline)
-                connectionLost(&r, EvalFailure::RpcTimeout);
+                connectionLost(&r, EvalFailure::WorkerTimeout);
         }
     }
 
     void
     drainRemote(Remote* r, core::VariantCache* programCache)
     {
-        char tmp[65536];
-        const ssize_t n = ::read(r->fd, tmp, sizeof(tmp));
-        if (n < 0 && (errno == EINTR || errno == EAGAIN))
+        const ssize_t n = r->reader.fill(r->fd);
+        if (n < 0 && errno == EAGAIN)
             return;
         if (n <= 0) {
-            connectionLost(r, EvalFailure::ConnectionLost);
+            connectionLost(r, EvalFailure::WorkerCrash);
             return;
         }
-        r->reader.push(tmp, static_cast<std::size_t>(n));
         std::string payload;
         for (;;) {
             switch (r->reader.next(&payload)) {

@@ -15,8 +15,9 @@
 ///     the request actively being evaluated (the pipeline front);
 ///     bystander in-flight requests are redispatched unpenalized.
 ///   - Two strikes settle the evaluation as a deterministic penalty
-///     (ConnectionLost / ProtocolError / RpcTimeout) that the engine
-///     counts and quarantines exactly like PR 6's isolated failures.
+///     (WorkerCrash for a lost connection, WorkerTimeout for a blown
+///     deadline, ProtocolError) that the engine counts and quarantines
+///     exactly like the isolated backend's failures.
 ///   - Lost workers are redialed with exponential backoff; a worker
 ///     whose handshake is rejected (wrong trajectory scope or protocol
 ///     version) is abandoned permanently.

@@ -1,15 +1,9 @@
 /// \file
-/// Wire protocol for the distributed evaluation farm: the same
-/// length+CRC framed "GEVR" encoding the isolated backend speaks over
-/// pipes (core/eval_backend.cpp), carried over a socket with a typed
-/// message layer on top.
-///
-/// Frame: u32 magic "GEVR" | u32 payloadLen | u32 crc32(payload) |
-/// payload. The first payload byte is the message type. A FrameReader
-/// reassembles frames from arbitrary read() chunk boundaries (TCP does
-/// not respect frames) and flags corruption — bad magic, oversized
-/// length, CRC mismatch — without ever throwing or crashing: a
-/// corrupted stream is a peer to disconnect from, not a bug.
+/// Wire protocol for the distributed evaluation farm: the shared stream
+/// frames and result codecs of core/codec.h, carried over a socket with
+/// a typed message layer on top. The first payload byte is the message
+/// type. A corrupted stream (bad magic, oversized length, CRC mismatch)
+/// is a peer to disconnect from, not a bug.
 ///
 /// Session shape: the client opens with Hello carrying the protocol
 /// version and the trajectory-scope fingerprint (the variant-cache
@@ -29,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/codec.h"
 #include "core/eval_backend.h"
 #include "core/fitness.h"
 #include "mutation/edit.h"
@@ -40,13 +35,6 @@ namespace gevo::farm {
 /// vector.
 constexpr std::uint32_t kFarmProtocolVersion = 2;
 
-/// Frame header: u32 magic | u32 payloadLen | u32 crc32(payload).
-constexpr std::uint32_t kFrameMagic = 0x52564547u; // "GEVR"
-constexpr std::size_t kFrameHeader = 12;
-/// Sanity bound on one payload (edit lists, fail reasons and program
-/// keys are at most tens of KB); anything larger is corruption.
-constexpr std::size_t kMaxFramePayload = std::size_t{1} << 26;
-
 enum class MsgType : std::uint8_t {
     Hello = 1,
     HelloOk = 2,
@@ -57,35 +45,11 @@ enum class MsgType : std::uint8_t {
     Pong = 7,
 };
 
-/// Append one complete frame (header + payload) to \p out.
-void appendFrame(std::string* out, std::string_view payload);
-
-/// Incremental frame reassembly from arbitrary chunk boundaries.
-class FrameReader {
-  public:
-    enum class Status {
-        NeedMore, ///< No complete frame buffered yet.
-        Frame,    ///< *payload holds the next frame's payload.
-        Corrupt,  ///< Bad magic / oversized length / CRC mismatch.
-    };
-
-    /// Buffer \p n more received bytes.
-    void push(const char* data, std::size_t n) { buf_.append(data, n); }
-
-    /// Extract the next complete frame, if any. After Corrupt the stream
-    /// is unrecoverable (framing is lost); the caller must drop the
-    /// connection.
-    Status next(std::string* payload);
-
-    /// Bytes buffered but not yet consumed (a non-empty residue at EOF
-    /// means the peer died mid-frame).
-    std::size_t pending() const { return buf_.size(); }
-
-    void reset() { buf_.clear(); }
-
-  private:
-    std::string buf_;
-};
+using core::appendFrame;
+using core::FrameReader;
+using core::writeFrame;
+using core::kFrameHeader;
+using core::kFrameMagic;
 
 // ---- message payloads ----
 
@@ -105,9 +69,10 @@ struct EvalRequest {
     std::vector<mut::Edit> edits;
 };
 
-/// Worker → client evaluation result: the EvalOutcome fields plus the
-/// program content key of a fresh simulation (the client replays the
-/// insert into its live cache, same as the isolated backend's parent).
+/// Worker → client evaluation result: the shared EvalOutcome codec,
+/// including the program content key of a fresh simulation (the client
+/// replays the insert into its live cache, same as the isolated
+/// backend's parent).
 struct EvalReply {
     std::uint64_t seq = 0;
     core::EvalOutcome outcome;

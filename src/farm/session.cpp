@@ -14,14 +14,6 @@ namespace gevo::farm {
 
 namespace {
 
-bool
-sendFrame(int fd, std::string_view payload)
-{
-    std::string frame;
-    appendFrame(&frame, payload);
-    return writeAll(fd, frame.data(), frame.size());
-}
-
 void
 sleepMs(std::uint64_t ms)
 {
@@ -57,40 +49,35 @@ WorkerSession::handshake(int fd, FrameReader* reader)
           case FrameReader::Status::Frame: {
             HelloMsg hello;
             if (!decodeHello(payload, &hello)) {
-                sendFrame(fd, encodeHelloReject("expected Hello"));
+                writeFrame(fd, encodeHelloReject("expected Hello"));
                 return false;
             }
             if (hello.version != kFarmProtocolVersion) {
-                sendFrame(fd, encodeHelloReject(strformat(
-                                  "protocol version %u, worker speaks %u",
-                                  hello.version, kFarmProtocolVersion)));
+                writeFrame(fd, encodeHelloReject(strformat(
+                                   "protocol version %u, worker speaks %u",
+                                   hello.version, kFarmProtocolVersion)));
                 return false;
             }
             if (hello.scope != scope_) {
-                sendFrame(fd,
-                          encodeHelloReject(strformat(
-                              "trajectory scope %016llx does not match "
-                              "worker scope %016llx (different baseline/"
-                              "fitness/device)",
-                              static_cast<unsigned long long>(hello.scope),
-                              static_cast<unsigned long long>(scope_))));
+                writeFrame(fd,
+                           encodeHelloReject(strformat(
+                               "trajectory scope %016llx does not match "
+                               "worker scope %016llx (different baseline/"
+                               "fitness/device)",
+                               static_cast<unsigned long long>(hello.scope),
+                               static_cast<unsigned long long>(scope_))));
                 return false;
             }
             clientTimeoutMs_ = hello.timeoutMs;
-            return sendFrame(fd, encodeHelloOk(banner_));
+            return writeFrame(fd, encodeHelloOk(banner_));
           }
           case FrameReader::Status::Corrupt:
             return false;
           case FrameReader::Status::NeedMore:
             break;
         }
-        char tmp[4096];
-        const ssize_t r = ::read(fd, tmp, sizeof(tmp));
-        if (r < 0 && errno == EINTR)
-            continue;
-        if (r <= 0)
+        if (reader->fill(fd) <= 0)
             return false; // Peer gone before (or mid-) Hello.
-        reader->push(tmp, static_cast<std::size_t>(r));
     }
 }
 
@@ -107,12 +94,9 @@ WorkerSession::handleEval(int fd, const std::string& payload)
             core::faultCrash();
           case core::FaultKind::Hang:
             core::faultHang();
-          case core::FaultKind::Garbage: {
-            static constexpr char junk[] =
-                "these bytes are not a response frame";
-            writeAll(fd, junk, sizeof(junk));
+          case core::FaultKind::Garbage:
+            core::faultGarbage(fd);
             return false;
-          }
           case core::FaultKind::Disconnect:
             return false; // Close instead of replying.
           case core::FaultKind::Truncate: {
@@ -149,7 +133,7 @@ WorkerSession::handleEval(int fd, const std::string& payload)
                            req.useCache ? &reply.programKey : nullptr);
     ::alarm(0);
     ++served_;
-    return sendFrame(fd, encodeEvalReply(reply));
+    return writeFrame(fd, encodeEvalReply(reply));
 }
 
 void
@@ -170,7 +154,7 @@ WorkerSession::serve(int fd)
               case MsgType::Ping: {
                 std::uint64_t nonce = 0;
                 if (!decodePing(payload, &nonce) ||
-                    !sendFrame(fd, encodePong(nonce)))
+                    !writeFrame(fd, encodePong(nonce)))
                     return;
                 continue;
               }
@@ -182,13 +166,8 @@ WorkerSession::serve(int fd)
           case FrameReader::Status::NeedMore:
             break;
         }
-        char tmp[65536];
-        const ssize_t r = ::read(fd, tmp, sizeof(tmp));
-        if (r < 0 && errno == EINTR)
-            continue;
-        if (r <= 0)
+        if (reader.fill(fd) <= 0)
             return; // EOF (possibly mid-frame) or error: session over.
-        reader.push(tmp, static_cast<std::size_t>(r));
     }
 }
 

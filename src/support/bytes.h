@@ -1,10 +1,10 @@
 /// \file
-/// Little-endian byte-append helpers for canonical content keys.
-///
-/// Both cache-key encoders (mutation edit lists in core::VariantCache,
-/// decoded programs in sim::ProgramSet::contentKey) must keep byte-exact,
-/// platform-independent encodings; sharing the primitives keeps them from
-/// drifting apart.
+/// Little-endian byte-append helpers: the primitives under the canonical
+/// content keys (mutation edit lists in core::VariantCache, decoded
+/// programs in sim::ProgramSet::contentKey) and under core/codec.h, the
+/// one record format every durable file and wire shares. Keys and
+/// records must keep byte-exact, platform-independent encodings; sharing
+/// the primitives keeps them from drifting apart.
 
 #ifndef GEVO_SUPPORT_BYTES_H
 #define GEVO_SUPPORT_BYTES_H
@@ -34,8 +34,9 @@ appendLeI64(std::string* out, std::int64_t v)
     appendLeU64(out, static_cast<std::uint64_t>(v));
 }
 
-/// Decoders mirroring the appenders above (core/cache_store.cpp reads
-/// back what it wrote with them). \pre at least 4/8 readable bytes at \p p.
+/// Decoders mirroring the appenders above (core::Reader in core/codec.h
+/// is the bounds-checked way to use them). \pre at least 4/8 readable
+/// bytes at \p p.
 inline std::uint32_t
 readLeU32(const char* p)
 {

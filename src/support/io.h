@@ -1,11 +1,10 @@
 /// \file
-/// EINTR-safe full-buffer read/write on file descriptors, shared by the
-/// isolated backend's pipe protocol (core/eval_backend.cpp) and the farm
-/// socket protocol (src/farm/). Short reads and writes are retried until
-/// the buffer completes or the peer is genuinely gone — a peer closing
-/// mid-frame surfaces as `false` here and as a ProtocolError/connection
-/// loss at the protocol layer, never as process death (callers ignore
-/// SIGPIPE).
+/// EINTR-safe full-buffer read/write on file descriptors: the transport
+/// under the core/codec.h stream frames, on pipes and on sockets alike.
+/// Short reads and writes are retried until the buffer completes or the
+/// peer is genuinely gone — a peer closing mid-frame surfaces as `false`
+/// here and as a ProtocolError/connection loss at the protocol layer,
+/// never as process death (callers ignore SIGPIPE).
 
 #ifndef GEVO_SUPPORT_IO_H
 #define GEVO_SUPPORT_IO_H

@@ -95,6 +95,41 @@ TEST(CacheStore, Crc32MatchesTheStandardCheckValue)
     EXPECT_EQ(crc32("", 0), 0u);
 }
 
+std::string
+toHex(const std::string& bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+        out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+    }
+    return out;
+}
+
+TEST(CacheStore, V2BytesArePinned)
+{
+    // Format stability, not just round trips: a v2 store written by any
+    // build must be byte-identical to this capture (a valid objective
+    // vector with a NUL in its key, then a failure with its reason).
+    const auto path = tmpPath("golden");
+    const std::vector<CacheStoreRecord> records = {
+        {0, std::string("k\0y", 3), FitnessResult::pass(1.25, 96.0, 0.5)},
+        {1, "prog", FitnessResult::fail("verifier: bad")},
+    };
+    ASSERT_TRUE(saveCacheStore(path, 0x0123456789abcdefull, records));
+    EXPECT_EQ(toHex(readFile(path)),
+        // header
+        "4745564f4341434802000000efcdab8967452301"
+        // record 0
+        "290000005e56d25200030000006b00790103000000000000000000f43f000000"
+        "0000005840000000000000e03f00000000"
+        // record 1
+        "1f000000a0ae5984010400000070726f6700000000000d000000766572696669"
+        "65723a20626164");
+    std::remove(path.c_str());
+}
+
 TEST(CacheStore, SaveLoadRoundTrip)
 {
     const auto path = tmpPath("roundtrip");

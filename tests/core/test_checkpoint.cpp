@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include <sys/wait.h>
@@ -366,6 +367,126 @@ TEST(Checkpoint, TrailingBytesRejectTheWholeFile)
     writeFile(path, readFile(path) + "spare bytes");
     const auto load = loadCheckpoint(path, 42);
     EXPECT_EQ(load.status, CheckpointLoadResult::Status::Corrupt);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, HugeCountInACrcValidRecordIsCorruptNotAnAllocation)
+{
+    // A writer bug (or a deliberate edit that recomputes the CRC) can
+    // leave a record whose framing is intact but whose element count is
+    // absurd. The loader must report Corrupt, never throw bad_alloc.
+    CheckpointState st;
+    st.generation = 1;
+    st.history.resize(1); // No islands: the history record is third.
+    const auto path = tmpPath("hugecount");
+    ASSERT_TRUE(saveCheckpoint(path, 42, st));
+    auto bytes = readFile(path);
+
+    std::size_t pos = 20; // magic + version + scope.
+    auto u32At = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, bytes.data() + at, 4); // Little-endian host.
+        return v;
+    };
+    for (int skip = 0; skip < 2; ++skip) // meta, best individual.
+        pos += 8 + u32At(pos);
+    const std::uint32_t len = u32At(pos);
+    char* payload = bytes.data() + pos + 8;
+    // The record ends in islandBestMs' count, then islandRates' count.
+    const std::uint32_t huge = 0xfffffff0u;
+    std::memcpy(payload + len - 8, &huge, 4);
+    const std::uint32_t crc = crc32(payload, len);
+    std::memcpy(bytes.data() + pos + 4, &crc, 4);
+    writeFile(path, bytes);
+
+    CheckpointLoadResult load;
+    EXPECT_NO_THROW(load = loadCheckpoint(path, 42));
+    EXPECT_EQ(load.status, CheckpointLoadResult::Status::Corrupt);
+    EXPECT_NE(load.message.find("history"), std::string::npos)
+        << load.message;
+    std::remove(path.c_str());
+}
+
+std::string
+toHex(const std::string& bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+        out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+    }
+    return out;
+}
+
+TEST(Checkpoint, V3BytesArePinned)
+{
+    // Format stability, not just round trips: a checkpoint written by
+    // any build of format v3 must be byte-identical to this capture, or
+    // an old file would silently stop resuming.
+    const auto path = tmpPath("golden");
+    ASSERT_TRUE(saveCheckpoint(path, 0x0123456789abcdefull, sampleState()));
+    EXPECT_EQ(toHex(readFile(path)),
+        // header
+        "4745564f434b505403000000efcdab8967452301"
+        // meta
+        "2d0000009666f96d070000000000000000008029400200000000000000020000"
+        "000000000002000000000000000200000000000000"
+        // best individual
+        "3b0000009e2f14711500000064656c6574652034322030202d31206e20302030"
+        "0a01030000000000000000000c40000000000000584000000000000000400000"
+        "000001"
+        // island 0
+        "470100004095bb51010000000000000002000000000000000300000000000000"
+        "04000000000000000000000000000c4003000000000000002800000064656c65"
+        "74652034322030202d31206e203020300a6f707265706c203920302031206920"
+        "3320300a01030000000000000000000c40000000000000584000000000000000"
+        "400000000001130000006f707265706c2039203020312069203320300a000000"
+        "00000c00000077726f6e67206f7574707574011500000064656c657465203432"
+        "2030202d31206e203020300a000000000000000000009a9999999999c93fb81e"
+        "85eb51b8be3f7b14ae47e17ab43f9a9999999999b93f000000000000e83fe17a"
+        "14ae47e1da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14"
+        "ae47e17ab43f9a9999999999b93f000000000000f83fe17a14ae47e1da3f0000"
+        "00000000b03f010000000000000a40"
+        // island 1
+        "24010000e9100507ffffffffffffffff05000000000000000600000000000000"
+        "070000000000000000000000000010400200000000000000130000006f707265"
+        "706c2039203020312069203320300a00000000000c00000077726f6e67206f75"
+        "74707574012800000064656c6574652034322030202d31206e203020300a6f70"
+        "7265706c2039203020312069203320300a01030000000000000000000c400000"
+        "000000005840000000000000004000000000019a9999999999c93fb81e85eb51"
+        "b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47"
+        "e1da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae47e1"
+        "7ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f0000000000"
+        "00d03f000000000000000000"
+        // history 0
+        "fd00000015a09766060000000000000000000c40000000000000154003000000"
+        "0000000004000000000000000100000000000000030000000000000001000000"
+        "0000000000000000000000000000000000000000020000000000000002000000"
+        "000000001500000064656c6574652034322030202d31206e203020300a020000"
+        "000000000000000c40000000000000104002000000000000000000e03fb81e85"
+        "eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43f000000"
+        "000000c03f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae"
+        "47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f000000"
+        "000000d03f"
+        // history 1
+        "fd0000000f692fb2070000000000000000000c40000000000000154003000000"
+        "0000000004000000000000000100000000000000030000000000000001000000"
+        "0000000000000000000000000000000000000000020000000000000002000000"
+        "000000001500000064656c6574652034322030202d31206e203020300a020000"
+        "000000000000000c40000000000000104002000000000000000000e03fb81e85"
+        "eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43f000000"
+        "000000c03f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae"
+        "47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f000000"
+        "000000d03f"
+        // quarantine
+        "140000006c91f0c40700000062696e006b657905000000706c61696e"
+        // pareto front
+        "87000000c7e0a87b2800000064656c6574652034322030202d31206e20302030"
+        "0a6f707265706c2039203020312069203320300a01030000000000000000000c"
+        "40000000000000584000000000000000400000000001130000006f707265706c"
+        "2039203020312069203320300a01030000000000000000001040000000000000"
+        "5440000000000000f03f0000000001");
     std::remove(path.c_str());
 }
 

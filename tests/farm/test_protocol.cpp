@@ -319,6 +319,46 @@ TEST(FarmMessages, EveryPrefixTruncationAndTrailingByteFailsToDecode)
     EXPECT_EQ(payloadType(""), MsgType{0});
 }
 
+std::string
+toHex(std::string_view bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+        out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+    }
+    return out;
+}
+
+TEST(FarmMessages, V2EvalFramesArePinned)
+{
+    // Format stability, not just round trips: peers of protocol v2 built
+    // from any revision must agree on these exact frames.
+    EvalRequest req;
+    req.seq = 0x0102030405060708ull;
+    req.useCache = true;
+    mut::Edit copy;
+    copy.kind = mut::EditKind::InstrCopy;
+    copy.srcUid = 3;
+    copy.dstUid = 9;
+    copy.newUid = 1234;
+    req.edits = {copy};
+    EXPECT_EQ(toHex(frame(encodeEvalRequest(req))),
+              "47455652230000001f0774c90408070605040302010115000000636f70792033"
+              "2039202d31206e203020313233340a");
+
+    EvalReply reply;
+    reply.seq = 42;
+    reply.outcome.result = core::FitnessResult::pass(1.25, 96.0, 1.0 / 3.0);
+    reply.outcome.result.failReason = "r";
+    reply.outcome.simulated = true;
+    reply.programKey = std::string("k\0y", 3);
+    EXPECT_EQ(toHex(frame(encodeEvalReply(reply))),
+              "4745565234000000f7c648cc052a000000000000000103000000000000000000"
+              "f43f0000000000005840555555555555d53f01000000720100030000006b0079");
+}
+
 TEST(FarmMessages, DecoderRejectsWrongMessageType)
 {
     HelloMsg hello;
