@@ -4,11 +4,12 @@
 ///
 /// The two cache levels key on content, not on process state — the
 /// canonical edit-list encoding and `sim::ProgramSet::contentKey` are
-/// byte-identical across runs — so compile/score work done by one search
-/// is directly reusable by the next (and by islands running in separate
-/// processes against the same workload). GEVO-scale campaigns (256 x 300
-/// evaluations, repeated across seeds and restarts) only amortize their
-/// evaluation cost if it survives restarts; this store is that boundary.
+/// byte-identical across runs and hosts — so compile/score work done by
+/// one search is directly reusable by the next (and by islands running in
+/// separate processes against the same workload). GEVO-scale campaigns
+/// (256 x 300 evaluations, repeated across seeds and restarts) only
+/// amortize their evaluation cost if it survives restarts; this store is
+/// that boundary.
 ///
 /// File format (core/codec.h — the same codec as the checkpoint and the
 /// wire):
@@ -18,6 +19,14 @@
 ///   record*  u32 payloadLen | u32 crc32(payload) | payload
 ///   payload  u8 level | u32 keyLen | key bytes | FitnessResult
 ///            (u8 valid | u32 n | n x f64 bits | u32 reasonLen | reason)
+///
+/// Level-0 keys are canonical edit-list bytes (VariantCache::keyOf).
+/// Level-1 keys are `ProgramSet::contentKey` values: one 16-byte
+/// BLAKE2b-128 digest of each kernel's canonical encoding (32 bytes for a
+/// two-kernel module), not the encoding itself, which runs to kilobytes
+/// per kernel. The digest trades injectivity for size: with N distinct
+/// kernel encodings ever produced, P(any collision) <= N^2 / 2^129,
+/// below 1e-21 at N = 1e9.
 ///
 /// The scope fingerprint binds a file to the search it can accelerate.
 /// Level-0 keys encode only the edit list — two different workloads
@@ -55,11 +64,13 @@
 
 namespace gevo::core {
 
-/// Current file-format version. Bump on any layout change: the loader
-/// rejects other versions wholesale (a half-understood cache is worse
-/// than a cold start). v2 replaced the single fitness scalar with the
-/// objective vector.
-inline constexpr std::uint32_t kCacheStoreVersion = 2;
+/// Current file-format version. Bump on any layout change, or any change
+/// in what a key means: the loader rejects other versions wholesale (a
+/// half-understood cache is worse than a cold start). v2 replaced the
+/// single fitness scalar with the objective vector. v3 keeps v2's record
+/// layout, but its level-1 keys are per-kernel digests instead of full
+/// canonical encodings, so a v2 file is a warned cold start.
+inline constexpr std::uint32_t kCacheStoreVersion = 3;
 
 /// One persisted cache entry. `level` says which cache the key belongs
 /// to: 0 = canonical edit-list key, 1 = compiled-program content key.

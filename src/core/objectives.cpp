@@ -94,8 +94,11 @@ std::string
 objectiveListName(const std::vector<Objective>& objectives)
 {
     std::string out;
-    for (const auto o : objectives)
-        out += (out.empty() ? "" : ",") + std::string(objectiveName(o));
+    for (const auto o : objectives) {
+        if (!out.empty())
+            out += ',';
+        out += objectiveName(o);
+    }
     return out;
 }
 

@@ -137,7 +137,7 @@ class RemoteBackend final : public core::EvaluationBackend {
                 localFallback(batch, programCache);
                 break;
             }
-            dispatchPending();
+            dispatchPending(programCache);
             pollOnce(programCache);
         }
         tasks_.clear();
@@ -396,7 +396,7 @@ class RemoteBackend final : public core::EvaluationBackend {
     }
 
     void
-    dispatchPending()
+    dispatchPending(core::VariantCache* programCache)
     {
         while (!pending_.empty()) {
             Remote* target = nullptr;
@@ -413,10 +413,9 @@ class RemoteBackend final : public core::EvaluationBackend {
             const std::size_t task = pending_.front();
             const std::string& wire = tasks_[task].wire;
             if (!writeAll(target->fd, wire.data(), wire.size())) {
-                // The dial looked live but the send failed: strike the
-                // connection's front (if any) and retry this task on the
-                // next loop — it was never in flight here.
-                connectionLost(target, EvalFailure::WorkerCrash);
+                // The worker hung up. This task was never in flight there
+                // and is retried on the next loop.
+                sendFailed(target, programCache);
                 continue;
             }
             pending_.pop_front();
@@ -491,6 +490,31 @@ class RemoteBackend final : public core::EvaluationBackend {
             connectionLost(r, EvalFailure::WorkerCrash);
             return;
         }
+        consumeFrames(r, programCache);
+    }
+
+    /// A send to \p r failed: its worker hung up. Whatever it wrote
+    /// before that — replies, or the bytes that corrupted its stream — is
+    /// still queued on our side. Read it first, so the front settles as
+    /// what the worker actually did (a garbage reply is a protocol error,
+    /// not a crash), then account the loss unless a corrupt stream
+    /// already has. Only bytes readable now are consumed: a hung-up
+    /// peer's are all queued, and the send loop never blocks here.
+    void
+    sendFailed(Remote* r, core::VariantCache* programCache)
+    {
+        pollfd pfd{r->fd, POLLIN, 0};
+        while (r->up && ::poll(&pfd, 1, 0) > 0 && r->reader.fill(r->fd) > 0)
+            consumeFrames(r, programCache);
+        if (r->up)
+            connectionLost(r, EvalFailure::WorkerCrash);
+    }
+
+    /// Handle every complete frame buffered for \p r; a corrupt or
+    /// unexpected one tears the connection down.
+    void
+    consumeFrames(Remote* r, core::VariantCache* programCache)
+    {
         std::string payload;
         for (;;) {
             switch (r->reader.next(&payload)) {

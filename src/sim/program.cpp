@@ -4,6 +4,7 @@
 
 #include "ir/cfg.h"
 #include "support/bytes.h"
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace gevo::sim {
@@ -85,37 +86,43 @@ Program::decode(const ir::Function& fn)
         }
     }
 
-    // Content-key fragment: canonical bytes of every execution-relevant
-    // field. Interned source-location ids are deliberately excluded: they
-    // do not affect functional results or timing, only profiling
-    // attribution — so variants differing only in loc metadata share a
-    // cache key.
-    std::string& key = prog.keyFragment;
-    key += prog.name;
-    key.push_back('\0');
-    appendLeU32(&key, prog.numParams);
-    appendLeU32(&key, prog.numRegs);
-    appendLeU32(&key, prog.sharedBytes);
-    appendLeU32(&key, prog.localBytes);
-    appendLeU32(&key, static_cast<std::uint32_t>(prog.code.size()));
+    // Content-key fragment: the digest of canonical bytes of every
+    // execution-relevant field. Interned source-location ids are
+    // deliberately excluded: they do not affect functional results or
+    // timing, only profiling attribution — so variants differing only in
+    // loc metadata share a cache key. The bytes are hashed one
+    // instruction at a time through one reused buffer, so the full
+    // encoding (kilobytes per kernel) is never materialized.
+    Blake2b128 hash;
+    std::string bytes = prog.name;
+    bytes.push_back('\0');
+    appendLeU32(&bytes, prog.numParams);
+    appendLeU32(&bytes, prog.numRegs);
+    appendLeU32(&bytes, prog.sharedBytes);
+    appendLeU32(&bytes, prog.localBytes);
+    appendLeU32(&bytes, static_cast<std::uint32_t>(prog.code.size()));
+    hash.update(bytes);
     for (const auto& in : prog.code) {
-        key.push_back(static_cast<char>(
+        bytes.clear();
+        bytes.push_back(static_cast<char>(
             static_cast<std::uint16_t>(in.op) & 0xff));
-        key.push_back(static_cast<char>(
+        bytes.push_back(static_cast<char>(
             (static_cast<std::uint16_t>(in.op) >> 8) & 0xff));
-        key.push_back(static_cast<char>(in.nops));
-        key.push_back(static_cast<char>(in.space));
-        key.push_back(static_cast<char>(in.width));
-        key.push_back(static_cast<char>(in.atom));
-        appendLeI64(&key, in.dest);
+        bytes.push_back(static_cast<char>(in.nops));
+        bytes.push_back(static_cast<char>(in.space));
+        bytes.push_back(static_cast<char>(in.width));
+        bytes.push_back(static_cast<char>(in.atom));
+        appendLeI64(&bytes, in.dest);
         for (int i = 0; i < in.nops; ++i) {
-            key.push_back(static_cast<char>(in.ops[i].kind));
-            appendLeI64(&key, in.ops[i].value);
+            bytes.push_back(static_cast<char>(in.ops[i].kind));
+            appendLeI64(&bytes, in.ops[i].value);
         }
-        appendLeI64(&key, in.target0);
-        appendLeI64(&key, in.target1);
-        appendLeI64(&key, in.reconvPc);
+        appendLeI64(&bytes, in.target0);
+        appendLeI64(&bytes, in.target1);
+        appendLeI64(&bytes, in.reconvPc);
+        hash.update(bytes);
     }
+    prog.keyFragment = hash.finish();
     return prog;
 }
 
@@ -144,8 +151,10 @@ std::string
 ProgramSet::contentKey() const
 {
     std::string key;
+    key.reserve(programs_.size() * sizeof(Digest128));
     for (const auto& prog : programs_)
-        key += prog->keyFragment;
+        key.append(reinterpret_cast<const char*>(prog->keyFragment.data()),
+                   prog->keyFragment.size());
     return key;
 }
 

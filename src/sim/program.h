@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "ir/function.h"
+#include "support/hash.h"
 
 namespace gevo::sim {
 
@@ -69,12 +70,19 @@ struct Program {
     std::uint32_t maxLoc = 0; ///< Highest interned source-loc id in code.
     std::vector<DecodedInstr> code;
     std::vector<std::int32_t> blockStart; ///< Block index -> first PC.
-    /// This program's slice of ProgramSet::contentKey(), baked at decode.
-    /// Per-program fragments are self-contained (no cross-program state),
-    /// so the incremental compiler can assemble a variant's content key
-    /// from shared base programs plus freshly decoded touched ones and
-    /// land on bytes identical to a full decode.
-    std::string keyFragment;
+    /// This program's slice of ProgramSet::contentKey(), baked at decode:
+    /// the BLAKE2b-128 digest (support/hash.h) of the canonical encoding
+    /// of every execution-relevant field — name, shape, and per
+    /// instruction opcode, operands, memory space/width, atomic op,
+    /// destination, branch targets and reconvergence PC; never the
+    /// interned source loc. Per-program fragments are self-contained (no
+    /// cross-program state), so the incremental compiler can assemble a
+    /// variant's content key from shared base programs plus freshly
+    /// decoded touched ones and land on bytes identical to a full decode.
+    ///
+    /// Collision bound: with N distinct kernel encodings ever produced,
+    /// P(any two share a digest) <= N^2 / 2^129, below 1e-21 at N = 1e9.
+    Digest128 keyFragment{};
 
     /// Decode a kernel. \pre verifyFunction(fn).ok().
     static Program decode(const ir::Function& fn);
@@ -97,14 +105,17 @@ class ProgramSet {
     /// Program for the kernel named \p name; nullptr when absent.
     const Program* find(std::string_view name) const;
 
-    /// Canonical byte encoding of every execution-relevant field of every
-    /// program (names, shapes, decoded instructions, branch targets).
-    /// Interned source-location ids are deliberately excluded: they do not
-    /// affect functional results or timing, only profiling attribution —
-    /// so two variants whose cleaned kernels differ only in loc metadata
-    /// score identically and share a content key. This is what lets the
-    /// fitness cache collapse the (very common) mutants whose edits are
-    /// dangling or optimized away.
+    /// The programs' keyFragment digests concatenated in module order:
+    /// 16 bytes per kernel (32 for a two-kernel module), whatever the
+    /// kernels' size. It stands for the canonical encoding of every
+    /// execution-relevant field of every program (names, shapes, decoded
+    /// instructions, branch targets) at the collision bound stated on
+    /// keyFragment. Interned source-location ids are deliberately
+    /// excluded: they do not affect functional results or timing, only
+    /// profiling attribution — so two variants whose cleaned kernels
+    /// differ only in loc metadata score identically and share a content
+    /// key. This is what lets the fitness cache collapse the (very
+    /// common) mutants whose edits are dangling or optimized away.
     std::string contentKey() const;
 
     std::size_t size() const { return programs_.size(); }

@@ -1,10 +1,10 @@
 /// \file
 /// Little-endian byte-append helpers: the primitives under the canonical
-/// content keys (mutation edit lists in core::VariantCache, decoded
-/// programs in sim::ProgramSet::contentKey) and under core/codec.h, the
-/// one record format every durable file and wire shares. Keys and
-/// records must keep byte-exact, platform-independent encodings; sharing
-/// the primitives keeps them from drifting apart.
+/// content encodings (mutation edit lists in core::VariantCache, decoded
+/// programs digested into sim::ProgramSet::contentKey) and under
+/// core/codec.h, the one record format every durable file and wire
+/// shares. Keys and records must keep byte-exact, platform-independent
+/// encodings; sharing the primitives keeps them from drifting apart.
 
 #ifndef GEVO_SUPPORT_BYTES_H
 #define GEVO_SUPPORT_BYTES_H

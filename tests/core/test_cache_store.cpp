@@ -107,18 +107,54 @@ toHex(const std::string& bytes)
     return out;
 }
 
-TEST(CacheStore, V2BytesArePinned)
+std::string
+fromHex(const std::string& hex)
 {
-    // Format stability, not just round trips: a v2 store written by any
+    std::string out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(
+            static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+TEST(CacheStore, V3BytesArePinned)
+{
+    // Format stability, not just round trips: a v3 store written by any
     // build must be byte-identical to this capture (a valid objective
-    // vector with a NUL in its key, then a failure with its reason).
+    // vector under a level-0 key with a NUL in it, then a failure with
+    // its reason under a 16-byte level-1 digest key).
     const auto path = tmpPath("golden");
+    std::string digest;
+    for (int i = 0; i < 16; ++i)
+        digest.push_back(static_cast<char>(0xf0 + i));
     const std::vector<CacheStoreRecord> records = {
         {0, std::string("k\0y", 3), FitnessResult::pass(1.25, 96.0, 0.5)},
-        {1, "prog", FitnessResult::fail("verifier: bad")},
+        {1, digest, FitnessResult::fail("verifier: bad")},
     };
     ASSERT_TRUE(saveCacheStore(path, 0x0123456789abcdefull, records));
     EXPECT_EQ(toHex(readFile(path)),
+        // header
+        "4745564f4341434803000000efcdab8967452301"
+        // record 0
+        "290000005e56d25200030000006b00790103000000000000000000f43f000000"
+        "0000005840000000000000e03f00000000"
+        // record 1
+        "2b000000c5fa3ca10110000000f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000000"
+        "00000d00000076657269666965723a20626164");
+    std::remove(path.c_str());
+}
+
+TEST(CacheStore, V2FileIsAWarnedColdStart)
+{
+    // A v2 store as v2 builds wrote it (the former pinned capture: a
+    // valid objective vector, then a failure with its reason). v3 keeps
+    // this record layout but level-1 keys now mean per-kernel digests,
+    // so a v2 file is refused wholesale — even under its own scope —
+    // with a message for the engine's warning, and the next save
+    // replaces it.
+    const auto path = tmpPath("v2");
+    const std::uint64_t scope = 0x0123456789abcdefull;
+    writeFile(path, fromHex(
         // header
         "4745564f4341434802000000efcdab8967452301"
         // record 0
@@ -126,7 +162,20 @@ TEST(CacheStore, V2BytesArePinned)
         "0000005840000000000000e03f00000000"
         // record 1
         "1f000000a0ae5984010400000070726f6700000000000d000000766572696669"
-        "65723a20626164");
+        "65723a20626164"));
+    const auto load = loadCacheStore(path, scope);
+    EXPECT_EQ(load.status, CacheLoadResult::Status::VersionMismatch);
+    EXPECT_TRUE(load.records.empty());
+    EXPECT_NE(load.message.find("format version 2, expected 3"),
+              std::string::npos)
+        << load.message;
+
+    const std::vector<CacheStoreRecord> fresh = {
+        {0, "fresh", FitnessResult::pass(2.0)}};
+    ASSERT_TRUE(mergeSaveCacheStore(path, scope, fresh));
+    const auto reload = loadCacheStore(path, scope);
+    ASSERT_EQ(reload.status, CacheLoadResult::Status::Ok);
+    expectRecordsEqual(reload.records, fresh);
     std::remove(path.c_str());
 }
 

@@ -4,10 +4,12 @@
 
 #include "core/engine.h"
 #include "ir/parser.h"
+#include "ir/verifier.h"
 #include "sim/device_config.h"
 #include "sim/device_memory.h"
 #include "sim/executor.h"
 #include "sim/program.h"
+#include "support/hash.h"
 #include "support/thread_pool.h"
 
 namespace gevo::core {
@@ -175,6 +177,73 @@ entry:
     ASSERT_TRUE(a.ok && b.ok);
     EXPECT_NE(sim::ProgramSet::decodeModule(a.module).contentKey(),
               sim::ProgramSet::decodeModule(b.module).contentKey());
+}
+
+/// Two kernels, with both branch forms and shared memory.
+constexpr const char* kKeyedModule = R"(
+kernel @a params 1 regs 8 shared 16 local 0 {
+entry:
+    r1 = tid
+    r2 = mul.i32 r1, 2
+    r3 = cmp.lt.i32 r1, r2
+    brc r3, left, right
+left:
+    br right
+right:
+    br done
+done:
+    ret
+}
+kernel @b params 1 regs 8 shared 0 local 0 {
+entry:
+    r1 = tid
+    ret
+}
+)";
+
+/// Content key of kKeyedModule with \p from replaced by \p to.
+std::string
+keyedModuleKey(const std::string& from = "", const std::string& to = "")
+{
+    std::string text = kKeyedModule;
+    if (!from.empty()) {
+        const auto at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+    }
+    auto parsed = ir::parseModule(text);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_TRUE(ir::verifyModule(parsed.module).ok()) << to;
+    return sim::ProgramSet::decodeModule(parsed.module).contentKey();
+}
+
+TEST(ProgramContentKey, IsOneDigestPerProgram)
+{
+    auto parsed = ir::parseModule(kKeyedModule);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const auto set = sim::ProgramSet::decodeModule(parsed.module);
+    ASSERT_EQ(set.size(), 2u);
+    const std::string key = set.contentKey();
+    ASSERT_EQ(key.size(), 2 * sizeof(Digest128));
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        const auto& digest = set.at(i).keyFragment;
+        EXPECT_EQ(key.substr(i * digest.size(), digest.size()),
+                  std::string(reinterpret_cast<const char*>(digest.data()),
+                              digest.size()));
+    }
+    EXPECT_NE(set.at(0).keyFragment, set.at(1).keyFragment);
+}
+
+TEST(ProgramContentKey, BranchTargetsAndShapeAreSignificant)
+{
+    // Operands and locs are covered above; the digest must also see the
+    // resolved branch targets and the kernel's shape fields.
+    const std::string base = keyedModuleKey();
+    EXPECT_NE(keyedModuleKey("left:\n    br right", "left:\n    br done"),
+              base)
+        << "branch target";
+    EXPECT_NE(keyedModuleKey("shared 16", "shared 32"), base)
+        << "sharedBytes";
 }
 
 // ---- determinism regression: the cache must be trajectory-neutral ----
