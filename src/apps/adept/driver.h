@@ -64,12 +64,11 @@ class AdeptDriver {
     void setOversubscribe(std::uint32_t factor) { oversubscribe_ = factor; }
     std::uint32_t oversubscribe() const { return oversubscribe_; }
 
-    /// Host threads to partition blocks across per launch (see
-    /// sim::LaunchDims::blockThreads; 0/1 = serial). Safe for the ADEPT
-    /// kernels: each block aligns one pair and writes only its own output
-    /// slots — blocks never communicate. Meant for single large
-    /// evaluations (held-out checks, profiling) where the evolution
-    /// engine's population-level thread pool sits idle.
+    /// Host threads that may run a launch's blocks speculatively (see
+    /// sim::LaunchDims::blockThreads; 0/1 = serial). A hint: results are
+    /// the serial launch's whatever the value, for any variant. Each
+    /// unmodified block aligns one pair and touches only that pair's
+    /// bytes, so its speculative run commits.
     void setBlockThreads(std::uint32_t threads) { blockThreads_ = threads; }
     std::uint32_t blockThreads() const { return blockThreads_; }
 

@@ -22,13 +22,14 @@ class AdeptWorkloadInstance : public core::WorkloadInstance {
           driver_(makePairs(config), built_.scoring, version, kMaxThreads),
           fitness_(driver_, config.device)
     {
-        // Note: the driver stays at blockThreads=1 here. Block-parallel
-        // launches (AdeptDriver::setBlockThreads) assume blocks never
-        // touch each other's memory — true of the unmodified kernels,
-        // but a mutated variant can compute any address, and a serial
-        // block order is what resolves such accidental overlaps
-        // deterministically. Search fitness must stay serial per launch;
-        // the engine parallelizes across individuals instead.
+        // One block per alignment pair, and the unmodified kernels'
+        // blocks touch only their own pair's bytes: every launch runs its
+        // blocks speculatively on idle cores. A mutant whose blocks do
+        // meet re-runs serially from the first conflicting block, so
+        // fitness is the serial launch's bit for bit
+        // (sim::LaunchDims::blockThreads).
+        driver_.setBlockThreads(
+            static_cast<std::uint32_t>(driver_.pairs().size()));
     }
 
     const ir::Module& module() const override { return built_.module; }

@@ -5,10 +5,13 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
+#include <functional>
+#include <mutex>
+#include <utility>
 
 #include "ir/eval.h"
 #include "support/strings.h"
+#include "support/thread_pool.h"
 
 namespace gevo::sim {
 
@@ -152,6 +155,125 @@ struct WarpState {
     int index = 0;
 };
 
+/// Everything the blocks of one launch share, read-only while they run.
+struct LaunchSetup {
+    const DeviceConfig& dev;
+    DeviceMemory& mem;
+    const Program& prog;
+    LaunchDims dims;
+    const std::vector<std::uint64_t>& args;
+    bool profileLocs;
+    bool trace; ///< Sampled once per launch, so every block agrees.
+    bool dense;
+};
+
+/// What one speculatively run block did, kept until the commit pass.
+/// Global-memory sets are per-byte bitmaps over 64-byte words.
+struct SpecBlock {
+    bool ran = false;
+    /// Passed the speculation instruction cap while not allowed the full
+    /// budget; its counters and writes are meaningless.
+    bool abandoned = false;
+    Fault fault;
+    LaunchStats stats;
+    std::uint64_t issue = 0;
+    std::uint64_t lat = 0;
+    /// Bytes read before the block wrote them itself: (word, bits).
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> reads;
+    /// Bytes written: (word, bits), with the word's 64 final bytes in
+    /// `data` at the same index.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> writes;
+    std::vector<std::uint8_t> data;
+};
+
+/// One thread's private view of global memory in a speculative launch:
+/// a copy of the pre-launch mapped extent, plus per-byte bitmaps of what
+/// the current block wrote and what it read before writing. Words that
+/// gain their first bit are listed, so harvesting a block and restoring
+/// the view costs what the block touched, not the extent.
+struct SpecView {
+    std::vector<std::uint8_t> bytes; ///< Padded to whole words.
+    std::vector<std::uint64_t> written;
+    std::vector<std::uint64_t> readFirst;
+    std::vector<std::uint32_t> writtenWords;
+    std::vector<std::uint32_t> readWords;
+
+    void
+    reset(const DeviceMemory& mem)
+    {
+        const auto end = static_cast<std::size_t>(mem.mappedEnd());
+        const std::size_t words = (end + 63) / 64;
+        bytes.assign(words * 64, 0);
+        std::memcpy(bytes.data(), mem.raw(), end);
+        written.assign(words, 0);
+        readFirst.assign(words, 0);
+        writtenWords.clear();
+        readWords.clear();
+    }
+
+    /// Call \p fn(word, bits) for the bytes [addr, addr + size), size <= 8
+    /// and inside the mapped extent, so at most two words.
+    template <typename Fn>
+    static void
+    forWords(std::int64_t addr, std::int64_t size, Fn fn)
+    {
+        const auto a = static_cast<std::uint64_t>(addr);
+        const auto offset = static_cast<unsigned>(a & 63);
+        const std::uint64_t ones = (std::uint64_t{1} << size) - 1;
+        fn(static_cast<std::uint32_t>(a >> 6), ones << offset);
+        if (offset + size > 64)
+            fn(static_cast<std::uint32_t>((a >> 6) + 1),
+               ones >> (64 - offset));
+    }
+
+    void
+    noteRead(std::int64_t addr, std::int64_t size)
+    {
+        forWords(addr, size, [this](std::uint32_t w, std::uint64_t bits) {
+            const std::uint64_t fresh = bits & ~written[w] & ~readFirst[w];
+            if (fresh == 0)
+                return;
+            if (readFirst[w] == 0)
+                readWords.push_back(w);
+            readFirst[w] |= fresh;
+        });
+    }
+
+    void
+    noteWrite(std::int64_t addr, std::int64_t size)
+    {
+        forWords(addr, size, [this](std::uint32_t w, std::uint64_t bits) {
+            if (written[w] == 0)
+                writtenWords.push_back(w);
+            written[w] |= bits;
+        });
+    }
+
+    /// Move the block's sets and written bytes into \p out and restore
+    /// the view to \p mem, which holds pre-launch memory until the
+    /// commit pass.
+    void
+    harvest(const DeviceMemory& mem, SpecBlock* out)
+    {
+        const auto end = static_cast<std::size_t>(mem.mappedEnd());
+        for (const std::uint32_t w : readWords) {
+            out->reads.emplace_back(w, readFirst[w]);
+            readFirst[w] = 0;
+        }
+        for (const std::uint32_t w : writtenWords) {
+            out->writes.emplace_back(w, written[w]);
+            written[w] = 0;
+            const std::size_t at = static_cast<std::size_t>(w) * 64;
+            out->data.insert(out->data.end(), bytes.begin() + at,
+                             bytes.begin() + at + 64);
+            std::memcpy(bytes.data() + at, mem.raw() + at,
+                        std::min<std::size_t>(64, end - at));
+        }
+        readWords.clear();
+        writtenWords.clear();
+    }
+};
+
 /// Per-thread reusable launch scratch: the shared/local arenas and warp
 /// contexts (register files, scoreboards, reconvergence stacks) survive
 /// across launchKernel calls, so a workload issuing many tiny launches —
@@ -161,12 +283,13 @@ struct WarpState {
 /// masks reset, and registers are either zero-filled (reference path) or
 /// covered by the uniform bits until materialized (trace path), so stale
 /// bytes from a previous launch are never read. One runner exists per
-/// thread at a time (launchKernel's parallel path gives each spawned
-/// thread its own thread_local copy).
+/// thread at a time (the helpers of a speculative launch each have their
+/// own thread_local copy).
 struct ExecScratch {
     std::vector<std::uint8_t> shared;
     std::vector<std::uint8_t> local;
     std::vector<WarpState> warps;
+    SpecView view;
 };
 
 ExecScratch&
@@ -176,28 +299,81 @@ execScratch()
     return scratch;
 }
 
+/// State the participants of one speculative launch share. Blocks are
+/// claimed in index order.
+struct SpecLaunch {
+    explicit SpecLaunch(std::uint32_t grid)
+        : gridDim(grid), stopAt(grid), finished(grid, 0), blocks(grid)
+    {
+    }
+
+    /// True when block \p b may run to the full instruction budget: it is
+    /// the commit frontier (every lower block has finished) and no lower
+    /// block faulted or was abandoned, so the launch needs its result.
+    bool
+    mayRunFull(std::uint32_t b) const
+    {
+        return b == frontier.load() && b < stopAt.load();
+    }
+
+    /// Record that block \p b finished; \p stops when it faulted or was
+    /// abandoned, which makes every later block useless.
+    void
+    finish(std::uint32_t b, bool stops)
+    {
+        if (stops) {
+            std::uint32_t cur = stopAt.load();
+            while (b < cur && !stopAt.compare_exchange_weak(cur, b))
+                ;
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        finished[b] = 1;
+        std::uint32_t f = frontier.load();
+        while (f < gridDim && finished[f])
+            ++f;
+        frontier.store(f);
+    }
+
+    const std::uint32_t gridDim;
+    std::atomic<std::uint32_t> next{0};
+    /// Lowest block that faulted or was abandoned; gridDim while none.
+    std::atomic<std::uint32_t> stopAt;
+    /// Lowest block not yet finished.
+    std::atomic<std::uint32_t> frontier{0};
+    std::mutex mutex; ///< Guards finished.
+    std::vector<char> finished;
+    std::vector<SpecBlock> blocks;
+};
+
 /// Reusable execution context: binds the thread's scratch state once per
 /// launch and replays it for every block. Blocks of one launch are
 /// identical in shape (same program, same blockDim), so per-block
 /// construction only needs to reset state — re-allocating register files
 /// and reconvergence stacks per block (and, before the scratch reuse,
 /// per launch) dominated launch cost for small kernels.
+///
+/// kSpec selects the speculative instantiation: global memory is the
+/// thread's SpecView with every access tracked, and the instruction
+/// budget starts at a soft cap. The serial instantiation compiles to the
+/// plain loads, stores and budget checks.
+template <bool kSpec>
 class BlockRunner {
   public:
-    BlockRunner(const DeviceConfig& dev, DeviceMemory& mem,
-                const Program& prog, LaunchDims dims,
-                const std::vector<std::uint64_t>& args, LaunchStats* stats,
-                bool profileLocs, bool trace, bool dense)
-        : dev_(dev), mem_(mem), prog_(prog), dims_(dims), args_(args),
-          stats_(stats), profileLocs_(profileLocs), trace_(trace),
-          dense_(dense), shared_(execScratch().shared),
-          local_(execScratch().local), warps_(execScratch().warps)
+    BlockRunner(const LaunchSetup& setup, LaunchStats* stats,
+                SpecView* view = nullptr, SpecLaunch* launch = nullptr)
+        : dev_(setup.dev), mem_(setup.mem), prog_(setup.prog),
+          dims_(setup.dims), args_(setup.args), stats_(stats),
+          profileLocs_(setup.profileLocs), trace_(setup.trace),
+          dense_(setup.dense), shared_(execScratch().shared),
+          local_(execScratch().local), warps_(execScratch().warps),
+          view_(view), launch_(launch)
     {
+        const Program& prog = setup.prog;
         shared_.resize(prog.sharedBytes);
         local_.resize(static_cast<std::size_t>(prog.localBytes) *
-                      dims.blockDim);
+                      dims_.blockDim);
         const std::uint32_t numWarps =
-            (dims.blockDim + kWarpSize - 1) / kWarpSize;
+            (dims_.blockDim + kWarpSize - 1) / kWarpSize;
         warps_.resize(numWarps);
         for (std::uint32_t w = 0; w < numWarps; ++w) {
             WarpState& warp = warps_[w];
@@ -211,12 +387,26 @@ class BlockRunner {
         }
     }
 
+    /// Speculative runs: where the next block's counters go, and whether
+    /// it starts with the full instruction budget or the soft cap.
+    void
+    prepare(LaunchStats* stats, bool fullBudget)
+    {
+        stats_ = stats;
+        budget_ = fullBudget ? dev_.maxInstrPerThread
+                             : dev_.maxInstrPerThread / kSoftCapDivisor;
+    }
+
+    /// The last block passed the soft cap without becoming the frontier.
+    bool abandoned() const { return abandoned_; }
+
     /// Reset all mutable per-block state for \p blockIdx.
     void
     resetBlock(std::uint32_t blockIdx)
     {
         blockIdx_ = blockIdx;
         fault_ = Fault{};
+        abandoned_ = false;
         std::fill(shared_.begin(), shared_.end(), 0);
         std::fill(local_.begin(), local_.end(), 0);
         for (auto& warp : warps_) {
@@ -298,6 +488,56 @@ class BlockRunner {
     }
 
   private:
+    /// A non-frontier speculative block runs under this fraction of the
+    /// instruction budget. Without a cap, a mutant that times out in
+    /// block 0 would have every helper burn the full budget on blocks the
+    /// launch never needs; each helper still spends up to the cap. At
+    /// 1/64 (62.5k instructions per warp on the default budget) an
+    /// unmodified ADEPT block (at most ~41k per warp) fits with room to
+    /// spare, and on the adept-v0 search the work thrown away fell from
+    /// 10.6% of the committed work at 1/16 to 3.2%.
+    static constexpr std::uint64_t kSoftCapDivisor = 64;
+
+    /// Per-warp instruction budget of the running block.
+    [[gnu::always_inline]] std::uint64_t
+    budget() const
+    {
+        if constexpr (kSpec)
+            return budget_;
+        else
+            return dev_.maxInstrPerThread;
+    }
+
+    /// Past the budget: a speculative block under the soft cap may go on
+    /// to the full budget once it is the commit frontier.
+    [[gnu::always_inline]] bool
+    extendBudget(const WarpState& warp)
+    {
+        if constexpr (kSpec) {
+            if (budget_ < dev_.maxInstrPerThread &&
+                launch_->mayRunFull(blockIdx_)) {
+                budget_ = dev_.maxInstrPerThread;
+                return warp.issuedInstrs <= budget_;
+            }
+        }
+        (void)warp;
+        return false;
+    }
+
+    /// Stop a block past its budget: a Timeout fault, or for a
+    /// speculative block still under the soft cap, abandonment.
+    WarpStop
+    budgetFault()
+    {
+        if constexpr (kSpec) {
+            if (budget_ < dev_.maxInstrPerThread) {
+                abandoned_ = true;
+                return WarpStop::Faulted;
+            }
+        }
+        return plainFault(FaultKind::Timeout, "instruction budget exceeded");
+    }
+
     bool
     warpsAllDone() const
     {
@@ -363,7 +603,12 @@ class BlockRunner {
                 *fk = FaultKind::MemOobGlobal;
                 return false;
             }
-            base = mem_.raw();
+            if constexpr (kSpec) {
+                view_->noteRead(addr, size);
+                base = view_->bytes.data();
+            } else {
+                base = mem_.raw();
+            }
             break;
           case MemSpace::Shared:
             if (addr < 0 ||
@@ -420,7 +665,12 @@ class BlockRunner {
                 *fk = FaultKind::MemOobGlobal;
                 return false;
             }
-            base = mem_.raw();
+            if constexpr (kSpec) {
+                view_->noteWrite(addr, size);
+                base = view_->bytes.data();
+            } else {
+                base = mem_.raw();
+            }
             break;
           case MemSpace::Shared:
             if (addr < 0 ||
@@ -452,7 +702,7 @@ class BlockRunner {
     /// Shared-memory conflict ways: max accesses per 4B bank among the
     /// active lanes; identical addresses broadcast on loads but serialize
     /// on stores.
-    std::uint32_t
+    [[gnu::always_inline]] std::uint32_t
     sharedConflictWays(const std::int64_t* addrs, std::uint32_t mask,
                        bool isStore)
     {
@@ -482,7 +732,7 @@ class BlockRunner {
     /// Global coalescing: distinct 32B sectors touched by active lanes
     /// (sort the <=32 sector ids, count runs — the duplicate scan used to
     /// be quadratic in the active-lane count).
-    std::uint32_t
+    [[gnu::always_inline]] std::uint32_t
     globalSectors(const std::int64_t* addrs, std::uint32_t mask)
     {
         std::int64_t sectors[kWarpSize];
@@ -503,7 +753,7 @@ class BlockRunner {
     /// Issue slots and result latency of one memory instruction, shared
     /// verbatim by the reference and trace interpreters (including the
     /// bank-conflict / sector-coalescing stats side effects).
-    void
+    [[gnu::always_inline]] void
     memTiming(const DecodedInstr& in, const std::int64_t* addrs,
               std::uint32_t mask, std::uint64_t* slots, std::uint64_t* lat)
     {
@@ -552,7 +802,7 @@ class BlockRunner {
     /// Stall until source registers are ready, then consume issue slots.
     /// The stall set is the decode-time srcRegs list — identical to
     /// re-testing Operand::kind per slot, without the per-step branches.
-    void
+    [[gnu::always_inline]] void
     issue(WarpState& warp, const DecodedInstr& in, std::uint64_t slots)
     {
         for (int i = 0; i < in.numSrcRegs; ++i)
@@ -569,7 +819,7 @@ class BlockRunner {
             ++stats_->locIssues[in.loc];
     }
 
-    void
+    [[gnu::always_inline]] void
     setReady(WarpState& warp, std::int32_t dest, std::uint64_t lat)
     {
         if (dest >= 0)
@@ -578,19 +828,19 @@ class BlockRunner {
 
     // ---- warp-uniform register tracking (trace path) ----
 
-    static bool
+    [[gnu::always_inline]] static bool
     uniTest(const WarpState& warp, std::size_t r)
     {
         return (warp.uniBits[r >> 6] >> (r & 63)) & 1u;
     }
 
-    static void
+    [[gnu::always_inline]] static void
     uniSet(WarpState& warp, std::size_t r)
     {
         warp.uniBits[r >> 6] |= std::uint64_t{1} << (r & 63);
     }
 
-    static void
+    [[gnu::always_inline]] static void
     uniClear(WarpState& warp, std::size_t r)
     {
         warp.uniBits[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
@@ -603,7 +853,7 @@ class BlockRunner {
         std::uint64_t scalar = 0;
     };
 
-    SrcView
+    [[gnu::always_inline]] SrcView
     viewOf(const WarpState& warp, const Operand& op) const
     {
         if (!op.isReg())
@@ -617,7 +867,7 @@ class BlockRunner {
     /// Rewrite all 32 lanes of a uniform register from uniVal and drop
     /// the uniform bit — called before any per-lane write of that
     /// register so lanes outside the active mask keep the right value.
-    void
+    [[gnu::always_inline]] void
     materializeReg(WarpState& warp, std::int32_t dest)
     {
         const auto r = static_cast<std::size_t>(dest);
@@ -671,7 +921,7 @@ class BlockRunner {
     /// Returns false when the warp is done (stack empty or no lanes
     /// alive) — shared bookkeeping of both interpreters, so the
     /// retirement rules can never diverge between them.
-    static bool
+    [[gnu::always_inline]] static bool
     resolveStack(WarpState& warp)
     {
         while (!warp.stack.empty()) {
@@ -725,14 +975,21 @@ class BlockRunner {
     std::vector<std::uint8_t>& local_;
     std::vector<WarpState>& warps_;
     Fault fault_;
+
+    // Speculative instantiation only.
+    SpecView* view_;
+    SpecLaunch* launch_;
+    std::uint64_t budget_ = 0;
+    bool abandoned_ = false;
 };
 
 /// Reference interpreter: the original per-instruction loop. Kept alive
 /// behind GEVO_SIM_REFPATH as the differential-testing oracle for the
 /// trace interpreter — it re-resolves the reconvergence stack and
 /// re-dispatches per instruction, with no span or uniformity machinery.
+template <bool kSpec>
 WarpStop
-BlockRunner::runWarpRef(WarpState& warp)
+BlockRunner<kSpec>::runWarpRef(WarpState& warp)
 {
     while (true) {
         const WarpStop result = stepRef(warp);
@@ -744,15 +1001,16 @@ BlockRunner::runWarpRef(WarpState& warp)
 }
 
 /// Executes exactly one warp instruction (or resolves stack bookkeeping).
+template <bool kSpec>
 WarpStop
-BlockRunner::stepRef(WarpState& warp)
+BlockRunner<kSpec>::stepRef(WarpState& warp)
 {
     // Resolve reconvergence and dead entries before fetching.
     if (!resolveStack(warp))
         return WarpStop::Done;
 
-    if (warp.issuedInstrs > dev_.maxInstrPerThread)
-        return plainFault(FaultKind::Timeout, "instruction budget exceeded");
+    if (warp.issuedInstrs > budget() && !extendBudget(warp))
+        return budgetFault();
 
     StackEntry& top = warp.stack.back();
     const std::uint32_t mask = top.mask & warp.aliveMask;
@@ -1064,8 +1322,9 @@ BlockRunner::stepRef(WarpState& warp)
 /// bookkeeping. Mid-span PCs are never block starts, so no stack entry
 /// can die or reconverge inside a span, and the active mask is constant
 /// over it. Produces bit-identical results and stats to runWarpRef.
+template <bool kSpec>
 WarpStop
-BlockRunner::runWarpTrace(WarpState& warp)
+BlockRunner<kSpec>::runWarpTrace(WarpState& warp)
 {
     while (true) {
         // Resolve reconvergence and dead entries (needed at span
@@ -1100,9 +1359,8 @@ BlockRunner::runWarpTrace(WarpState& warp)
         // execInstr instantiation up front.
         if (act != nullptr) {
             for (; pc < spanEnd; ++pc) {
-                if (warp.issuedInstrs > dev_.maxInstrPerThread)
-                    return plainFault(FaultKind::Timeout,
-                                      "instruction budget exceeded");
+                if (warp.issuedInstrs > budget() && !extendBudget(warp))
+                    return budgetFault();
                 const DecodedInstr& in =
                     prog_.code[static_cast<std::size_t>(pc)];
                 stats_->laneInstrs += popMask;
@@ -1112,9 +1370,8 @@ BlockRunner::runWarpTrace(WarpState& warp)
             }
         } else {
             for (; pc < spanEnd; ++pc) {
-                if (warp.issuedInstrs > dev_.maxInstrPerThread)
-                    return plainFault(FaultKind::Timeout,
-                                      "instruction budget exceeded");
+                if (warp.issuedInstrs > budget() && !extendBudget(warp))
+                    return budgetFault();
                 const DecodedInstr& in =
                     prog_.code[static_cast<std::size_t>(pc)];
                 stats_->laneInstrs += popMask;
@@ -1125,9 +1382,8 @@ BlockRunner::runWarpTrace(WarpState& warp)
         }
 
         // ---- boundary instruction: control flow or barrier ----
-        if (warp.issuedInstrs > dev_.maxInstrPerThread)
-            return plainFault(FaultKind::Timeout,
-                              "instruction budget exceeded");
+        if (warp.issuedInstrs > budget() && !extendBudget(warp))
+            return budgetFault();
         const DecodedInstr& in = prog_.code[static_cast<std::size_t>(pc)];
         stats_->laneInstrs += popMask;
 
@@ -1207,9 +1463,10 @@ BlockRunner::runWarpTrace(WarpState& warp)
 /// are bit-identical in both modes. kDense is a template parameter so
 /// the full-width instantiation compiles to the original masked loops
 /// with no per-lane indirection.
+template <bool kSpec>
 template <bool kDense>
 WarpStop
-BlockRunner::execInstr(WarpState& warp, const DecodedInstr& in,
+BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                        std::uint32_t mask, const ActiveSet* act)
 {
     const std::uint32_t numRegs = prog_.numRegs;
@@ -1580,7 +1837,155 @@ BlockRunner::execInstr(WarpState& warp, const DecodedInstr& in,
     return plainFault(FaultKind::InvalidProgram, "unhandled opcode");
 }
 
+/// Launch-outcome counts behind speculationCounts().
+std::atomic<std::uint64_t> gSpecLaunches{0};
+std::atomic<std::uint64_t> gSpecCommitted{0};
+std::atomic<std::uint64_t> gSpecConflicts{0};
+std::atomic<std::uint64_t> gSpecAbandons{0};
+
+/// Largest mapped extent a speculative launch copies per participating
+/// thread; a launch over more memory runs serially.
+constexpr std::int64_t kMaxSpecViewBytes = 4ll << 20;
+
+/// Run blocks [from, gridDim) in order on the launch's memory, adding
+/// their counters to \p result. False on a fault, which lands in
+/// \p result with the counters of every block up to the faulting one.
+bool
+runSerial(const LaunchSetup& setup, std::uint32_t from,
+          LaunchResult* result, std::uint64_t* sumIssue,
+          std::uint64_t* sumLat)
+{
+    BlockRunner<false> runner(setup, &result->stats);
+    for (std::uint32_t b = from; b < setup.dims.gridDim; ++b) {
+        std::uint64_t issue = 0;
+        std::uint64_t lat = 0;
+        const Fault fault = runner.runBlock(b, &issue, &lat);
+        if (!fault.ok()) {
+            result->fault = fault;
+            return false;
+        }
+        *sumIssue += issue;
+        *sumLat += lat;
+    }
+    return true;
+}
+
+/// True when \p blk read a byte that a committed block wrote.
+bool
+conflicts(const SpecBlock& blk, const std::vector<std::uint64_t>& committed)
+{
+    for (const auto& [w, bits] : blk.reads) {
+        if ((committed[w] & bits) != 0)
+            return true;
+    }
+    return false;
+}
+
+/// Copy the bytes \p blk wrote into \p mem and mark them committed.
+void
+commitWrites(const SpecBlock& blk, DeviceMemory& mem,
+             std::vector<std::uint64_t>* committed)
+{
+    const std::uint8_t* src = blk.data.data();
+    for (auto [w, bits] : blk.writes) {
+        (*committed)[w] |= bits;
+        std::uint8_t* dst = mem.raw() + static_cast<std::size_t>(w) * 64;
+        if (bits == ~std::uint64_t{0}) {
+            std::memcpy(dst, src, 64);
+        } else {
+            for (; bits != 0; bits &= bits - 1) {
+                const int i = std::countr_zero(bits);
+                dst[i] = src[i];
+            }
+        }
+        src += 64;
+    }
+}
+
+/// The speculative launch (LaunchDims::blockThreads): the caller and up
+/// to \p helpers helper threads run blocks in parallel, each against its
+/// private view of pre-launch memory; then the caller validates and
+/// commits them in block order. A block commits when it read no byte an
+/// earlier block wrote — it then computed exactly what it computes in a
+/// serial launch — and commits only the bytes it wrote, so writes to the
+/// same bytes resolve in block order. At the first block that conflicts
+/// or was abandoned, the committed prefix is exactly the serial memory
+/// state, and runSerial() continues from that block. A committed block's
+/// fault ends the launch as it ends a serial one. Same contract as
+/// runSerial().
+bool
+runSpeculative(const LaunchSetup& setup, std::size_t helpers,
+               LaunchResult* result, std::uint64_t* sumIssue,
+               std::uint64_t* sumLat)
+{
+    const std::uint32_t grid = setup.dims.gridDim;
+    SpecLaunch launch(grid);
+    const std::function<void()> work = [&setup, &launch, grid] {
+        std::uint32_t b = launch.next.fetch_add(1);
+        if (b >= grid || b > launch.stopAt.load())
+            return;
+        SpecView& view = execScratch().view;
+        view.reset(setup.mem);
+        BlockRunner<true> runner(setup, nullptr, &view, &launch);
+        // Counted on this thread's stack: neighbouring SpecBlocks share
+        // cache lines, and the counters change every instruction.
+        LaunchStats stats;
+        // Blocks past the lowest fault or abandonment are never needed.
+        for (; b < grid && b <= launch.stopAt.load();
+             b = launch.next.fetch_add(1)) {
+            SpecBlock& blk = launch.blocks[b];
+            if (setup.profileLocs)
+                stats.locIssues.assign(setup.prog.maxLoc + 1, 0);
+            runner.prepare(&stats, launch.mayRunFull(b));
+            blk.fault = runner.runBlock(b, &blk.issue, &blk.lat);
+            blk.stats = std::exchange(stats, LaunchStats{});
+            blk.abandoned = runner.abandoned();
+            blk.ran = true;
+            view.harvest(setup.mem, &blk);
+            launch.finish(b, blk.abandoned || !blk.fault.ok());
+        }
+    };
+    HelperPool::share(work, helpers);
+
+    ++gSpecLaunches;
+    const auto words =
+        static_cast<std::size_t>((setup.mem.mappedEnd() + 63) / 64);
+    std::vector<std::uint64_t> committed(words, 0);
+    for (std::uint32_t b = 0; b < grid; ++b) {
+        const SpecBlock& blk = launch.blocks[b];
+        if (!blk.ran || blk.abandoned || conflicts(blk, committed)) {
+            auto& fallbacks = blk.ran && !blk.abandoned ? gSpecConflicts
+                                                        : gSpecAbandons;
+            ++fallbacks;
+            gSpecCommitted += b;
+            return runSerial(setup, b, result, sumIssue, sumLat);
+        }
+        result->stats.accumulate(blk.stats);
+        commitWrites(blk, setup.mem, &committed);
+        if (!blk.fault.ok()) {
+            gSpecCommitted += b + 1;
+            result->fault = blk.fault;
+            return false;
+        }
+        *sumIssue += blk.issue;
+        *sumLat += blk.lat;
+    }
+    gSpecCommitted += grid;
+    return true;
+}
+
 } // namespace
+
+SpeculationCounts
+speculationCounts()
+{
+    SpeculationCounts c;
+    c.launches = gSpecLaunches.load();
+    c.committedBlocks = gSpecCommitted.load();
+    c.conflictFallbacks = gSpecConflicts.load();
+    c.abandonFallbacks = gSpecAbandons.load();
+    return c;
+}
 
 LaunchResult
 launchKernel(const DeviceConfig& dev, DeviceMemory& mem, const Program& prog,
@@ -1602,111 +2007,24 @@ launchKernel(const DeviceConfig& dev, DeviceMemory& mem, const Program& prog,
     if (profileLocs)
         result.stats.locIssues.assign(prog.maxLoc + 1, 0);
 
-    // Sampled once per launch so every block (and every worker thread of
-    // a parallel launch) runs the same interpreter.
     const bool trace = interpreterMode() == InterpMode::Trace;
-    const bool dense = trace && denseLaneMode();
+    const LaunchSetup setup{dev,  mem,         prog,  dims,
+                            args, profileLocs, trace, trace && denseLaneMode()};
 
     std::uint64_t sumIssue = 0;
     std::uint64_t sumLat = 0;
-    const std::uint32_t blockThreads =
+    const std::uint32_t threads =
         std::min(std::max(1u, dims.blockThreads), dims.gridDim);
-    if (blockThreads <= 1) {
-        BlockRunner runner(dev, mem, prog, dims, args, &result.stats,
-                           profileLocs, trace, dense);
-        for (std::uint32_t b = 0; b < dims.gridDim; ++b) {
-            std::uint64_t issue = 0;
-            std::uint64_t lat = 0;
-            const Fault fault = runner.runBlock(b, &issue, &lat);
-            if (!fault.ok()) {
-                result.fault = fault;
-                return result;
-            }
-            sumIssue += issue;
-            sumLat += lat;
-        }
-    } else {
-        // Opt-in block-level parallelism: contiguous block ranges per
-        // host thread, each with a private BlockRunner and stats
-        // accumulator (see LaunchDims::blockThreads for the contract).
-        struct Part {
-            LaunchStats stats;
-            std::uint64_t sumIssue = 0;
-            std::uint64_t sumLat = 0;
-            Fault fault;
-            std::uint32_t faultBlock = 0;
-        };
-        std::vector<Part> parts(blockThreads);
-        // Lowest faulting block seen so far: threads skip blocks at or
-        // beyond it (any block below it still runs, so the minimum
-        // faulting block — the one a serial launch would report — is
-        // always executed and recorded).
-        std::atomic<std::uint32_t> stopAt{dims.gridDim};
-        const std::uint32_t chunk =
-            (dims.gridDim + blockThreads - 1) / blockThreads;
-        std::vector<std::thread> threads;
-        threads.reserve(blockThreads);
-        for (std::uint32_t t = 0; t < blockThreads; ++t) {
-            threads.emplace_back([&, t]() {
-                Part& part = parts[t];
-                if (profileLocs)
-                    part.stats.locIssues.assign(prog.maxLoc + 1, 0);
-                BlockRunner runner(dev, mem, prog, dims, args, &part.stats,
-                                   profileLocs, trace, dense);
-                const std::uint32_t begin = t * chunk;
-                const std::uint32_t end =
-                    std::min(dims.gridDim, begin + chunk);
-                for (std::uint32_t b = begin; b < end; ++b) {
-                    if (b >= stopAt.load(std::memory_order_relaxed))
-                        break;
-                    std::uint64_t issue = 0;
-                    std::uint64_t lat = 0;
-                    const Fault fault = runner.runBlock(b, &issue, &lat);
-                    if (!fault.ok()) {
-                        part.fault = fault;
-                        part.faultBlock = b;
-                        std::uint32_t cur =
-                            stopAt.load(std::memory_order_relaxed);
-                        while (b < cur &&
-                               !stopAt.compare_exchange_weak(
-                                   cur, b, std::memory_order_relaxed))
-                            ;
-                        break;
-                    }
-                    part.sumIssue += issue;
-                    part.sumLat += lat;
-                }
-            });
-        }
-        for (auto& th : threads)
-            th.join();
-
-        // Deterministic reduction: thread-index order, all counters
-        // integral. Pick the fault from the lowest faulting block.
-        const Part* faulted = nullptr;
-        for (const Part& part : parts) {
-            if (!part.fault.ok() &&
-                (faulted == nullptr ||
-                 part.faultBlock < faulted->faultBlock))
-                faulted = &part;
-            sumIssue += part.sumIssue;
-            sumLat += part.sumLat;
-            result.stats.warpInstrs += part.stats.warpInstrs;
-            result.stats.laneInstrs += part.stats.laneInstrs;
-            result.stats.divergences += part.stats.divergences;
-            result.stats.barriers += part.stats.barriers;
-            result.stats.sharedConflictWays +=
-                part.stats.sharedConflictWays;
-            result.stats.globalSectors += part.stats.globalSectors;
-            for (std::size_t loc = 0; loc < part.stats.locIssues.size();
-                 ++loc)
-                result.stats.locIssues[loc] += part.stats.locIssues[loc];
-        }
-        if (faulted != nullptr) {
-            result.fault = faulted->fault;
-            return result;
-        }
-    }
+    const std::size_t helpers =
+        threads > 1 && mem.mappedEnd() <= kMaxSpecViewBytes
+            ? std::min<std::size_t>(threads - 1, HelperPool::available())
+            : 0;
+    const bool ok =
+        helpers > 0
+            ? runSpeculative(setup, helpers, &result, &sumIssue, &sumLat)
+            : runSerial(setup, 0, &result, &sumIssue, &sumLat);
+    if (!ok)
+        return result;
     result.stats.issueCycles = sumIssue;
 
     // ---- occupancy wave model ----

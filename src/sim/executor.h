@@ -113,19 +113,18 @@ struct LaunchDims {
     /// the paper's production batches (30,000 pairs), where SM issue
     /// throughput — not per-warp latency — bounds kernel time.
     std::uint32_t oversubscribe = 1;
-    /// Opt-in host-side parallelism: partition the grid's blocks across
-    /// this many host threads (0/1 = serial). Each thread owns a private
-    /// execution context and stats accumulator; per-thread results are
-    /// reduced in thread-index order, and every counter is integral, so a
-    /// fault-free parallel launch is bit-for-bit identical to a serial
-    /// one. ONLY valid for kernels whose blocks do not communicate
-    /// (no cross-block atomics/stores to shared addresses): real GPUs
-    /// make no cross-block ordering guarantees, but this simulator's
-    /// serial block order otherwise resolves such races deterministically
-    /// and parallel execution would not. On a fault, the reported fault
-    /// is deterministically the one from the lowest faulting block index,
-    /// but the partial stats may include work from blocks a serial launch
-    /// would never have reached.
+    /// Hint: how many host threads (the caller plus idle helpers) may run
+    /// this launch's blocks speculatively; 0/1 = serial. Results never
+    /// depend on it. Every block runs against a private view of
+    /// pre-launch memory and records which bytes it wrote and which it
+    /// read before writing them; blocks then commit in block order, and
+    /// the first block that read a byte an earlier block wrote (or that
+    /// was abandoned at the speculation instruction cap) re-runs
+    /// serially, with every later block, on the committed prefix. So any
+    /// program, cross-block atomics and stray stores included, gets the
+    /// serial launch's fault text, LaunchStats and memory bit for bit.
+    /// Worth setting for kernels whose blocks mostly touch their own
+    /// bytes (ADEPT: one alignment pair per block).
     std::uint32_t blockThreads = 1;
 };
 
@@ -159,6 +158,20 @@ void setInterpreterMode(InterpMode mode);
 /// sampled once per launch like the interpreter mode.
 bool denseLaneMode();
 void setDenseLaneMode(bool on);
+
+/// Process-wide outcome counts of speculative launches (see
+/// LaunchDims::blockThreads), for tests and diagnostics. A launch is
+/// counted when it ran blocks speculatively; it then either committed
+/// every block it needed, or fell back to serial execution at one block
+/// because that block read bytes an earlier block wrote (a conflict) or
+/// was abandoned at the speculation instruction cap.
+struct SpeculationCounts {
+    std::uint64_t launches = 0;
+    std::uint64_t committedBlocks = 0;
+    std::uint64_t conflictFallbacks = 0;
+    std::uint64_t abandonFallbacks = 0;
+};
+SpeculationCounts speculationCounts();
 
 /// Execute \p prog on \p dev over \p mem.
 ///

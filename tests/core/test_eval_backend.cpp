@@ -8,14 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include "apps/registry.h"
 #include "core/engine.h"
+#include "core/workload.h"
 #include "ir/parser.h"
 #include "mutation/edit.h"
 #include "sim/device_config.h"
 #include "sim/device_memory.h"
 #include "sim/executor.h"
 #include "sim/program.h"
+#include "support/thread_pool.h"
 
 namespace gevo::core {
 namespace {
@@ -161,6 +166,55 @@ TEST(EvalBackend, IsolatedMatchesInProcessTrajectory)
         EXPECT_EQ(isolated.evalFailures, 0u);
         EXPECT_EQ(isolated.quarantined, 0u);
     }
+}
+
+/// adept-v0 launches its blocks speculatively on helper threads. The
+/// isolated backend's workers are forked after the parent has used the
+/// helpers, which did not survive the fork: the children must run their
+/// launches serially (never wait on a helper) and still reproduce the
+/// in-process trajectory exactly.
+TEST(EvalBackend, IsolatedMatchesInProcessAfterHelpersRan)
+{
+    apps::registerBuiltinWorkloads();
+    WorkloadConfig config;
+    config.defaults = {{"pairs", "4"}};
+    const auto instance =
+        WorkloadRegistry::instance().get("adept-v0").make(config);
+    auto params = smallParams();
+    params.populationSize = 8;
+    params.generations = 3;
+    params.seed = 3;
+
+    const sim::SpeculationCounts before = sim::speculationCounts();
+    params.backend = EvalBackendKind::InProcess;
+    const auto inProcess =
+        EvolutionEngine(instance->module(), instance->fitness(), params)
+            .run();
+    if (HelperPool::available() > 0) {
+        EXPECT_GT(sim::speculationCounts().launches, before.launches);
+    }
+    params.backend = EvalBackendKind::Isolated;
+    const auto isolated =
+        EvolutionEngine(instance->module(), instance->fitness(), params)
+            .run();
+    expectSameTrajectory(inProcess, isolated);
+    EXPECT_EQ(isolated.evalFailures, 0u);
+
+    // A forked child sees no helpers and launches serially.
+    const pid_t pid = ::fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+        const sim::SpeculationCounts start = sim::speculationCounts();
+        const auto result = evaluateVariant(instance->module(), {},
+                                            instance->fitness());
+        const bool serial = HelperPool::available() == 0 &&
+                            sim::speculationCounts().launches ==
+                                start.launches;
+        ::_exit(result.valid && serial ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 TEST(EvalBackend, CrashIsPenalizedQuarantinedAndSearchCompletes)

@@ -25,31 +25,56 @@ namespace {
 
 using ModeGuard = sim::testutil::InterpModeGuard;
 
-/// Evaluate the same variant under both interpreters and require
-/// identical validity, bit-identical fitness, and identical failure
-/// text — random mutants are the adversarial corpus for the trace
-/// interpreter's fast paths.
+/// Evaluate the same variant under both interpreters, and (given
+/// \p speculative, the same fitness over a driver that launches blocks
+/// speculatively) with speculative launches too, and require identical
+/// validity, bit-identical fitness, and identical failure text — random
+/// mutants are the adversarial corpus for the trace interpreter's fast
+/// paths and for speculation's conflict detection.
 void
 expectModesAgree(const ir::Module& base,
                  const std::vector<mut::Edit>& edits,
-                 const core::FitnessFunction& fitness)
+                 const core::FitnessFunction& fitness,
+                 const core::FitnessFunction* speculative = nullptr)
 {
-    core::FitnessResult trace;
-    core::FitnessResult ref;
+    core::FitnessResult want;
     {
         ModeGuard g(sim::InterpMode::Trace);
-        trace = core::evaluateVariant(base, edits, fitness);
+        want = core::evaluateVariant(base, edits, fitness);
     }
-    {
-        ModeGuard g(sim::InterpMode::Reference);
-        ref = core::evaluateVariant(base, edits, fitness);
+    for (const auto mode : {sim::InterpMode::Trace, sim::InterpMode::Reference}) {
+        for (const auto* f : {&fitness, speculative}) {
+            if (f == nullptr ||
+                (mode == sim::InterpMode::Trace && f == &fitness))
+                continue;
+            ModeGuard g(mode);
+            const auto got = core::evaluateVariant(base, edits, *f);
+            const char* how = f == &fitness ? "serial" : "speculative";
+            EXPECT_EQ(want.valid, got.valid)
+                << how << " " << mut::serializeEdits(edits);
+            if (want.valid && got.valid)
+                EXPECT_EQ(want.ms(), got.ms())
+                    << how << " " << mut::serializeEdits(edits);
+            else
+                EXPECT_EQ(want.failReason, got.failReason)
+                    << how << " " << mut::serializeEdits(edits);
+        }
     }
-    EXPECT_EQ(trace.valid, ref.valid) << mut::serializeEdits(edits);
-    if (trace.valid && ref.valid)
-        EXPECT_EQ(trace.ms(), ref.ms()) << mut::serializeEdits(edits);
-    else
-        EXPECT_EQ(trace.failReason, ref.failReason)
-            << mut::serializeEdits(edits);
+}
+
+/// Random patches of 1-6 stacked edits on \p module.
+std::vector<mut::Edit>
+randomPatch(const ir::Module& module, Rng& rng)
+{
+    std::vector<mut::Edit> edits;
+    const int n = 1 + static_cast<int>(rng.below(6));
+    for (int i = 0; i < n; ++i) {
+        const auto patched = mut::applyPatch(module, edits);
+        const auto e = mut::sampleEdit(patched, rng);
+        if (e)
+            edits.push_back(*e);
+    }
+    return edits;
 }
 
 class AdeptFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -65,19 +90,14 @@ TEST_P(AdeptFuzz, RandomPatchesNeverCrashAndStayDeterministic)
     const auto built = adept::buildAdeptV1(adept::ScoringParams{}, 64);
     const adept::AdeptDriver driver(pairs, adept::ScoringParams{}, 1, 64);
     adept::AdeptFitness fitness(driver, sim::p100());
+    adept::AdeptDriver specDriver(pairs, adept::ScoringParams{}, 1, 64);
+    specDriver.setBlockThreads(static_cast<std::uint32_t>(pairs.size()));
+    adept::AdeptFitness specFitness(specDriver, sim::p100());
 
     Rng rng(GetParam());
     int valid = 0;
     for (int trial = 0; trial < 25; ++trial) {
-        // Build a random patch of 1-6 stacked edits.
-        std::vector<mut::Edit> edits;
-        const int n = 1 + static_cast<int>(rng.below(6));
-        for (int i = 0; i < n; ++i) {
-            const auto patched = mut::applyPatch(built.module, edits);
-            const auto e = mut::sampleEdit(patched, rng);
-            if (e)
-                edits.push_back(*e);
-        }
+        const auto edits = randomPatch(built.module, rng);
         const auto a = core::evaluateVariant(built.module, edits, fitness);
         const auto b = core::evaluateVariant(built.module, edits, fitness);
         EXPECT_EQ(a.valid, b.valid);
@@ -87,7 +107,7 @@ TEST_P(AdeptFuzz, RandomPatchesNeverCrashAndStayDeterministic)
         } else {
             EXPECT_FALSE(a.failReason.empty());
         }
-        expectModesAgree(built.module, edits, fitness);
+        expectModesAgree(built.module, edits, fitness, &specFitness);
     }
     // Mutational robustness (paper Sec VIII cites 20-40% neutral edits):
     // a healthy fraction of random patches must still pass everything.
@@ -97,6 +117,33 @@ TEST_P(AdeptFuzz, RandomPatchesNeverCrashAndStayDeterministic)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdeptFuzz,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u));
+
+/// ADEPT-V0 mutants (the search benchmark's workload) at
+/// setBlockThreads(1) and setBlockThreads(gridDim), both interpreters.
+class AdeptV0SpeculationFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AdeptV0SpeculationFuzz, SpeculativeLaunchesMatchSerial)
+{
+    adept::SequenceSetConfig cfg;
+    cfg.numPairs = 4;
+    cfg.seed = 7;
+    auto pairs = adept::generatePairs(cfg);
+    adept::appendBoundaryProbePairs(&pairs, cfg.maxLen, cfg.seed);
+    const auto built = adept::buildAdeptV0(adept::ScoringParams{}, 64);
+    const adept::AdeptDriver driver(pairs, adept::ScoringParams{}, 0, 64);
+    adept::AdeptFitness fitness(driver, sim::p100());
+    adept::AdeptDriver specDriver(pairs, adept::ScoringParams{}, 0, 64);
+    specDriver.setBlockThreads(static_cast<std::uint32_t>(pairs.size()));
+    adept::AdeptFitness specFitness(specDriver, sim::p100());
+
+    Rng rng(GetParam());
+    for (int trial = 0; trial < 12; ++trial)
+        expectModesAgree(built.module, randomPatch(built.module, rng),
+                         fitness, &specFitness);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdeptV0SpeculationFuzz,
+                         ::testing::Values(3u, 13u));
 
 class SimcovFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 

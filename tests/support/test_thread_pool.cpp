@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -52,6 +54,27 @@ TEST(ThreadPool, DrainOnEmptyPoolReturns)
     ThreadPool pool(1);
     pool.drain(); // must not hang
     SUCCEED();
+}
+
+TEST(HelperPool, ShareReturnsOnceEveryParticipantHasLeft)
+{
+    // Work items are claimed from a shared counter, as the speculative
+    // launch claims blocks; every item runs exactly once and has
+    // finished by the time share() returns, however many helpers joined.
+    for (const std::size_t helpers : {0u, 1u, 64u}) {
+        std::atomic<int> next{0};
+        std::atomic<int> done{0};
+        std::vector<int> hits(200, 0);
+        const std::function<void()> work = [&] {
+            for (int i; (i = next++) < 200;) {
+                ++hits[static_cast<std::size_t>(i)];
+                ++done;
+            }
+        };
+        HelperPool::share(work, helpers);
+        EXPECT_EQ(done.load(), 200);
+        EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 200);
+    }
 }
 
 } // namespace
