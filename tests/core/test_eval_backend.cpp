@@ -217,6 +217,54 @@ TEST(EvalBackend, IsolatedMatchesInProcessAfterHelpersRan)
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
+/// The per-generation cache accounting is not part of the trajectory, but
+/// a resumed search is checked against it: at one thread the isolated
+/// backend's forked evaluators must hit and miss the program cache
+/// exactly where the in-process evaluator does.
+void
+expectSameCacheAccounting(const ir::Module& mod,
+                          const FitnessFunction& fitness,
+                          EvolutionParams params)
+{
+    params.threads = 1;
+    params.backend = EvalBackendKind::InProcess;
+    const auto inProcess = EvolutionEngine(mod, fitness, params).run();
+    params.backend = EvalBackendKind::Isolated;
+    const auto isolated = EvolutionEngine(mod, fitness, params).run();
+    expectSameTrajectory(inProcess, isolated);
+    for (std::size_t g = 0; g < inProcess.history.size(); ++g) {
+        EXPECT_EQ(inProcess.history[g].cacheHits,
+                  isolated.history[g].cacheHits)
+            << "seed " << params.seed << " gen " << g + 1;
+        EXPECT_EQ(inProcess.history[g].cacheMisses,
+                  isolated.history[g].cacheMisses)
+            << "seed " << params.seed << " gen " << g + 1;
+    }
+}
+
+TEST(EvalBackend, IsolatedMatchesInProcessCacheAccountingAtOneThread)
+{
+    const auto mod = toyModule();
+    ToyFitness fitness;
+    auto params = smallParams();
+    params.generations = 10;
+    expectSameCacheAccounting(mod, fitness, params);
+
+    apps::registerBuiltinWorkloads();
+    WorkloadConfig config;
+    config.defaults = {{"elems", "2048"}, {"inputs", "1"},
+                       {"data-seed", "7"}};
+    const auto instance =
+        WorkloadRegistry::instance().get("reduce").make(config);
+    for (const std::uint64_t seed : {3, 5}) {
+        params.populationSize = 16;
+        params.generations = 30;
+        params.seed = seed;
+        expectSameCacheAccounting(instance->module(), instance->fitness(),
+                                  params);
+    }
+}
+
 TEST(EvalBackend, CrashIsPenalizedQuarantinedAndSearchCompletes)
 {
     const auto mod = toyModule();
