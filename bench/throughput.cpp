@@ -79,11 +79,6 @@ struct RunStats {
     std::size_t quarantined = 0; ///< Quarantined genotypes at run end.
     double speedup = 0.0;        ///< Search result (baseline / best).
     std::string bestEdits;       ///< Serialized best edit list.
-    /// Per-stage attribution (core::stageTimes()): wall clock summed
-    /// across evaluator threads, so the two tentpole wins — incremental
-    /// compile and dense-lane simulate — are separately visible per mode.
-    double compileMs = 0.0;
-    double simulateMs = 0.0;
 
     double
     variantsPerSec() const
@@ -107,16 +102,12 @@ runSearch(const ir::Module& module, const core::FitnessFunction& fitness,
 {
     params.useCache = useCache;
     core::EvolutionEngine engine(module, fitness, params);
-    core::resetStageTimes();
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = engine.run();
     const auto t1 = std::chrono::steady_clock::now();
-    const core::StageTimes stages = core::stageTimes();
 
     RunStats s;
     s.seconds = std::chrono::duration<double>(t1 - t0).count();
-    s.compileMs = stages.compileMs;
-    s.simulateMs = stages.simulateMs;
     // Every individual needs a fitness every generation; the pipeline
     // either simulates it or serves it from a memo/cache level.
     s.requests = static_cast<std::size_t>(params.populationSize) *
@@ -445,13 +436,6 @@ benchWorkload(const core::Workload& workload, const Flags& flags)
     }
     t.print();
 
-    const double stageTotal = uncached.compileMs + uncached.simulateMs;
-    std::printf("uncached stage split: compile %.0f ms, simulate %.0f ms "
-                "(%.0f%% compile)\n",
-                uncached.compileMs, uncached.simulateMs,
-                stageTotal > 0.0 ? 100.0 * uncached.compileMs / stageTotal
-                                 : 0.0);
-
     const bool sameBest = uncached.bestEdits == cached.bestEdits;
     report.trajectoryIdentical = sameBest;
     std::printf("best edit list identical across modes: %s "
@@ -512,12 +496,10 @@ jsonMode(std::FILE* f, const char* name, const RunStats& s, bool last)
                  "\"hit_rate\": %.4f, \"requests\": %zu, "
                  "\"evaluated\": %zu, \"preloaded\": %zu, "
                  "\"evalFailures\": %zu, \"quarantined\": %zu, "
-                 "\"wall_s\": %.4f, \"compile_ms\": %.2f, "
-                 "\"simulate_ms\": %.2f}%s\n",
+                 "\"wall_s\": %.4f}%s\n",
                  name, s.variantsPerSec(), s.hitRate(), s.requests,
                  s.simulations, s.preloaded, s.evalFailures,
-                 s.quarantined, s.seconds, s.compileMs, s.simulateMs,
-                 last ? "" : ",");
+                 s.quarantined, s.seconds, last ? "" : ",");
 }
 
 /// Write the machine-readable artifact. Workload names come from the

@@ -11,13 +11,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <memory>
 
 #include "apps/registry.h"
+#include "apps/workload_flags.h"
 #include "core/engine.h"
 #include "core/objectives.h"
-#include "core/portfolio.h"
-#include "core/workload.h"
 #include "mutation/edit.h"
 #include "support/flags.h"
 #include "support/logging.h"
@@ -41,7 +39,7 @@ onStopSignal(int)
 }
 
 void
-printHelp(const core::WorkloadRegistry& registry)
+printHelp()
 {
     FlagUsage usage("evolve", "evolutionary search over any registered "
                               "workload");
@@ -108,11 +106,12 @@ printHelp(const core::WorkloadRegistry& registry)
     usage.section("robustness")
         .flag("backend", "<kind>",
               "evaluation backend: inprocess (default, fastest), "
-              "isolated (fork-per-batch workers; a crashing/hanging "
-              "variant is penalized and quarantined instead of killing "
-              "the search), or remote (shard batches across gevo-workerd "
-              "daemons; fault-free runs are trajectory-identical to "
-              "inprocess)")
+              "isolated (worker sessions forked every generation; a "
+              "variant that crashes or hangs its session twice is "
+              "penalized and quarantined instead of killing the search), "
+              "or remote (the same sessions, served by gevo-workerd "
+              "daemons); fault-free runs of either are "
+              "trajectory-identical to inprocess")
         .flag("workers", "<list>",
               "remote-backend worker endpoints, comma-separated "
               "host:port or unix:/path (required with --backend=remote)")
@@ -134,15 +133,7 @@ printHelp(const core::WorkloadRegistry& registry)
               "write the per-generation history (deterministic fields "
               "only, exact float bits) to a file — resumed and "
               "uninterrupted runs produce byte-identical dumps");
-    usage.section("registered workloads");
-    for (const auto& name : registry.names()) {
-        const auto& w = registry.get(name);
-        usage.item(name, w.summary);
-        for (const auto& knob : w.knobs)
-            usage.item("  --" + knob.name,
-                       knob.help + " (default " +
-                           std::to_string(knob.defaultValue) + ")");
-    }
+    apps::listWorkloads(&usage);
     usage.print();
 }
 
@@ -210,15 +201,15 @@ dumpHistory(const std::string& path, const core::SearchResult& result)
 int
 main(int argc, char** argv)
 {
-    // Process-wide: a remote worker (or an isolated worker's pipe)
-    // vanishing mid-write must surface as a write error the backend
-    // handles, never as a SIGPIPE death of the whole search.
+    // Process-wide: a worker session (isolated or remote) vanishing
+    // mid-write must surface as a write error the backend handles, never
+    // as a SIGPIPE death of the whole search.
     std::signal(SIGPIPE, SIG_IGN);
     apps::registerBuiltinWorkloads();
     auto& registry = core::WorkloadRegistry::instance();
     const Flags flags(argc, argv);
     if (flags.helpRequested() || flags.getBool("list", false)) {
-        printHelp(registry);
+        printHelp();
         return 0;
     }
     if (flags.getBool("list-workloads", false)) {
@@ -229,14 +220,13 @@ main(int argc, char** argv)
         return 0;
     }
 
-    const auto name =
-        flags.getChoice("workload", registry.names(), "adept-v1");
-    const auto& workload = registry.get(name);
-
-    core::WorkloadConfig config;
-    config.device = sim::deviceByName(flags.getString("device", "P100"));
-    config.flags = &flags;
-    const auto instance = workload.make(config);
+    // A device portfolio wraps the workload's fitness; everything
+    // downstream (engine, backends, caches, farm) sees one
+    // FitnessFunction whose name() encodes the device set.
+    const auto bound = apps::bindWorkload(flags);
+    const core::Workload& workload = *bound.workload;
+    const auto& instance = bound.instance;
+    const core::FitnessFunction* fitness = &bound.fitness();
 
     core::EvolutionParams params = workload.searchDefaults;
     params.populationSize = static_cast<std::uint32_t>(
@@ -304,19 +294,6 @@ main(int argc, char** argv)
                            ? core::SelectionKind::Pareto
                            : core::SelectionKind::Scalar;
     const auto dumpPath = flags.getString("dump-history", "");
-
-    // A device portfolio wraps the workload's fitness; everything
-    // downstream (engine, backends, caches, farm) sees one
-    // FitnessFunction whose name() encodes the device set.
-    const auto devicesCsv = flags.getString("devices", "");
-    std::unique_ptr<core::PortfolioFitness> portfolio;
-    const core::FitnessFunction* fitness = &instance->fitness();
-    if (!devicesCsv.empty()) {
-        portfolio = std::make_unique<core::PortfolioFitness>(
-            instance->fitness(), sim::resolveDeviceList(devicesCsv),
-            core::deviceAggByName(flags.getString("device-agg", "worst")));
-        fitness = portfolio.get();
-    }
 
     const auto topology = core::makeTopology(params);
     std::printf("%s: %s\n", workload.name.c_str(),

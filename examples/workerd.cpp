@@ -18,11 +18,9 @@
 
 #include <csignal>
 #include <cstdio>
-#include <memory>
 
 #include "apps/registry.h"
-#include "core/portfolio.h"
-#include "core/workload.h"
+#include "apps/workload_flags.h"
 #include "farm/server.h"
 #include "support/flags.h"
 #include "support/logging.h"
@@ -32,7 +30,7 @@ using namespace gevo;
 namespace {
 
 void
-printHelp(const core::WorkloadRegistry& registry)
+printHelp()
 {
     FlagUsage usage("workerd", "farm evaluation worker daemon: serves "
                                "one workload's fitness evaluations to "
@@ -57,15 +55,7 @@ printHelp(const core::WorkloadRegistry& registry)
               "set); must match the client's --devices exactly")
         .flag("device-agg", "<kind>",
               "portfolio aggregation: worst (default) or mean");
-    usage.section("registered workloads");
-    for (const auto& name : registry.names()) {
-        const auto& w = registry.get(name);
-        usage.item(name, w.summary);
-        for (const auto& knob : w.knobs)
-            usage.item("  --" + knob.name,
-                       knob.help + " (default " +
-                           std::to_string(knob.defaultValue) + ")");
-    }
+    apps::listWorkloads(&usage);
     usage.print();
 }
 
@@ -80,10 +70,9 @@ main(int argc, char** argv)
     // The serving/stopped lines are a daemon's only signs of life.
     support::setLogThreshold(LogLevel::Info);
     apps::registerBuiltinWorkloads();
-    auto& registry = core::WorkloadRegistry::instance();
     const Flags flags(argc, argv);
     if (flags.helpRequested()) {
-        printHelp(registry);
+        printHelp();
         return 0;
     }
 
@@ -92,31 +81,16 @@ main(int argc, char** argv)
         GEVO_FATAL("--listen is required (host:port or unix:/path); see "
                    "--help");
 
-    const auto name =
-        flags.getChoice("workload", registry.names(), "adept-v1");
-    const auto& workload = registry.get(name);
-    core::WorkloadConfig config;
-    config.device = sim::deviceByName(flags.getString("device", "P100"));
-    config.flags = &flags;
-    const auto instance = workload.make(config);
-
-    // Mirror evolve's portfolio wiring: the wrapped fitness's name()
-    // feeds the trajectory-scope fingerprint, so a daemon serving a
-    // different device set rejects the handshake.
-    const auto devicesCsv = flags.getString("devices", "");
-    std::unique_ptr<core::PortfolioFitness> portfolio;
-    const core::FitnessFunction* fitness = &instance->fitness();
-    if (!devicesCsv.empty()) {
-        portfolio = std::make_unique<core::PortfolioFitness>(
-            instance->fitness(), sim::resolveDeviceList(devicesCsv),
-            core::deviceAggByName(flags.getString("device-agg", "worst")));
-        fitness = portfolio.get();
-    }
+    // The same binding as evolve's: the served fitness's name() feeds
+    // the trajectory-scope fingerprint, so the handshake rejects a client
+    // searching another workload, scale or device set.
+    const auto bound = apps::bindWorkload(flags);
 
     farm::ServerOptions opts;
     opts.listenSpec = listenSpec;
     opts.readyFile = flags.getString("ready-file", "");
-    opts.banner = workload.name + ": " + instance->banner();
+    opts.banner = bound.workload->name + ": " + bound.instance->banner();
 
-    return farm::runWorkerServer(instance->module(), *fitness, opts);
+    return farm::runWorkerServer(bound.instance->module(), bound.fitness(),
+                                 opts);
 }

@@ -1,6 +1,6 @@
 /// \file
-/// The one byte format every result boundary shares: the isolated
-/// backend's pipes, the farm's sockets, the variant-cache store and the
+/// The one byte format every result boundary shares: the farm sockets
+/// (isolated and remote sessions), the variant-cache store and the
 /// checkpoint. All integers are little-endian; doubles travel as their
 /// exact IEEE bits (fitness values feed a deterministic trajectory, so a
 /// decimal rendering would fork it).
@@ -182,7 +182,7 @@ void appendFrame(std::string* out, std::string_view payload);
 bool writeFrame(int fd, std::string_view payload);
 
 /// Incremental frame reassembly from arbitrary read() chunk boundaries
-/// (pipes and TCP do not respect frames).
+/// (stream sockets do not respect frames).
 class FrameReader {
   public:
     enum class Status {

@@ -106,7 +106,7 @@ EvolutionEngine::EvolutionEngine(const ir::Module& base,
     if (params_.backend == EvalBackendKind::Isolated &&
         params_.evalTimeoutMs == 0)
         GEVO_FATAL("evalTimeoutMs must be > 0 with the isolated backend "
-                   "(the watchdog needs a budget)");
+                   "(the deadline needs a budget)");
     if (params_.backend == EvalBackendKind::Remote) {
         if (params_.workers.empty())
             GEVO_FATAL("the remote backend needs --workers "

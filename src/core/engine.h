@@ -6,7 +6,7 @@
 /// shared two-level variant cache. Fitness evaluations from every island
 /// are batched into one EvaluationBackend dispatch per generation
 /// (core/eval_backend.h — in-process thread pool or crash-isolated
-/// worker processes), so the backend sees the whole generation's work at
+/// worker sessions), so the backend sees the whole generation's work at
 /// once regardless of island count.
 ///
 /// islands = 1 is the paper's Sec III-E configuration (population 256,
@@ -69,7 +69,7 @@ struct GenerationLog {
     // ---- robustness accounting (core/eval_backend.h) ----
     /// Evaluations whose worker died (segfault/abort/OOM) this generation.
     std::size_t workerCrashes = 0;
-    /// Evaluations the wall-clock watchdog killed this generation.
+    /// Evaluations that blew the per-evaluation deadline this generation.
     std::size_t workerTimeouts = 0;
     /// Evaluations whose worker returned an undecodable response.
     std::size_t protocolErrors = 0;
@@ -104,7 +104,7 @@ struct SearchResult {
     Individual best;          ///< Best individual over the whole run.
     std::vector<GenerationLog> history;
     CacheSummary cacheSummary;
-    /// Evaluation failures over the whole run (worker crashes + watchdog
+    /// Evaluation failures over the whole run (worker crashes + deadline
     /// timeouts + protocol errors, summed from the history).
     std::size_t evalFailures = 0;
     /// Genotypes in the quarantine set when the run ended.

@@ -5,44 +5,45 @@
 ///
 /// The engine batches every island's unevaluated individuals into one
 /// dispatch per generation (core/engine.h); this interface owns that
-/// dispatch. Two implementations:
+/// dispatch. Three kinds, two implementations:
 ///
-///   InProcessBackend — the thread pool the engine always had, extracted
-///   verbatim: every evaluation runs in the engine's own address space.
-///   Fastest, and trajectory-identical to the pre-backend engine, but a
-///   variant whose simulation segfaults, aborts or hangs kills the whole
-///   search (GEVO-scale campaigns are 256 x 300 ~ 77k evaluations of
-///   adversarially mutated programs — hours of wall clock riding on every
-///   one of them behaving).
+///   InProcess — the engine's thread pool: every evaluation runs in the
+///   engine's own address space. Fastest, but a variant whose simulation
+///   segfaults, aborts or hangs kills the whole search (GEVO-scale
+///   campaigns are 256 x 300 ~ 77k evaluations of adversarially mutated
+///   programs — hours of wall clock riding on every one of them
+///   behaving).
 ///
-///   IsolatedBackend — fork-per-batch worker processes on a pipe
-///   protocol with a per-evaluation wall-clock watchdog. A variant that
-///   crashes, OOMs or hangs its worker is reaped and scored as a
-///   deterministic invalid-individual penalty carrying an EvalFailure
-///   tag; the engine quarantines the genotype by content key so it is
-///   never dispatched again. Workers are forked at batch start, so they
-///   inherit the parent's base module, fitness function and (read-only,
-///   copy-on-write) program cache with zero serialization.
+///   Isolated and Remote — the farm dispatcher (farm/client.h) talking
+///   to farm WorkerSessions (farm/session.h) over framed sockets. Remote
+///   dials workerd daemons; Isolated forks its sessions over socketpairs
+///   at the start of each batch, so they inherit the base module, the
+///   fitness function and a copy-on-write snapshot of the program cache.
+///   Either way one deadline clock, one two-strike rule and one penalty
+///   function apply: a variant that crashes, hangs or corrupts its
+///   session twice is scored as a deterministic invalid-individual
+///   penalty carrying an EvalFailure tag, and the engine quarantines the
+///   genotype by content key so it is never dispatched again.
 ///
-/// Both backends produce identical FitnessResults for every evaluation
+/// Every backend produces identical FitnessResults for every evaluation
 /// that completes — fitness is a deterministic function of the edit list
 /// — so the search trajectory is backend-independent as long as no fault
-/// fires. Only the cache/simulation counters may differ (isolated workers
-/// cannot share within-batch program-cache hits across process
-/// boundaries).
+/// fires. Only the cache/simulation counters may differ at more than one
+/// thread or worker (concurrent evaluators cannot share each other's
+/// within-batch program-cache hits).
 ///
 /// Fault injection (testing): the GEVO_FAULT_INJECT environment variable
 /// deterministically injects failures by global evaluation sequence
 /// number, e.g. "crash@12" (the 13th dispatched evaluation segfaults),
-/// "hang@3" (sleeps until the watchdog kills it), "garbage@7" (an
-/// out-of-process worker writes a malformed response frame), with a
-/// comma-separated list and a "+" suffix meaning "this one and every
-/// later evaluation" ("crash@5+"). Crash and hang apply to every backend
-/// (in process they take the host down — that is the demonstration);
-/// garbage applies to isolated workers and farm sessions, which speak
-/// the core/codec.h stream frames. The spec is re-read per backend
-/// construction and sequence numbers are per-backend, so tests stay
-/// independent.
+/// "hang@3" (sleeps until the deadline kills it), "garbage@7" (the
+/// session writes a malformed response frame), with a comma-separated
+/// list and a "+" suffix meaning "this one and every later evaluation"
+/// ("crash@5+"). Crash and hang apply to every backend (in process they
+/// take the host down — that is the demonstration); the other kinds
+/// apply to sessions, which speak the core/codec.h stream frames. A
+/// redispatch keeps its sequence number, so a fault fires on both
+/// strikes. The spec is re-read per backend construction and sequence
+/// numbers are per-backend, so tests stay independent.
 
 #ifndef GEVO_CORE_EVAL_BACKEND_H
 #define GEVO_CORE_EVAL_BACKEND_H
@@ -67,10 +68,10 @@ namespace gevo::core {
 /// every backend.
 enum class EvalFailure : std::uint8_t {
     None = 0,
-    /// The evaluating process died (segfault/abort/OOM), or a remote
-    /// worker's connection was lost mid-evaluation.
+    /// The evaluating process died (segfault/abort/OOM), or its
+    /// session's connection was lost mid-evaluation.
     WorkerCrash,
-    /// The watchdog or the remote per-evaluation deadline expired.
+    /// The per-evaluation deadline expired.
     WorkerTimeout,
     /// The worker returned an undecodable or corrupt response.
     ProtocolError,
@@ -106,24 +107,22 @@ class EvaluationBackend {
     evaluateBatch(const std::vector<const std::vector<mut::Edit>*>& batch,
                   VariantCache* programCache,
                   std::vector<EvalOutcome>* out) = 0;
-
-    /// Short description for logs/banners, e.g. "in-process x8".
-    virtual std::string describe() const = 0;
 };
 
-/// Backend implied by \p params (threads, backend kind, watchdog budget).
+/// Backend implied by \p params (threads, backend kind, deadline).
 /// \p base and \p fitness must outlive the backend.
 std::unique_ptr<EvaluationBackend>
 makeBackend(const ir::Module& base, const FitnessFunction& fitness,
             const EvolutionParams& params);
 
-/// The fault-tolerant socket client over the farm protocol
-/// (`params.workers` = comma-separated "host:port" / "unix:/path" list).
-/// Defined in farm/client.cpp; makeBackend routes
-/// EvalBackendKind::Remote here.
+/// The farm dispatcher: forked sessions for EvalBackendKind::Isolated
+/// (`params.threads` of them, 0 = hardware), dialed daemons for
+/// EvalBackendKind::Remote (`params.workers` = comma-separated
+/// "host:port" / "unix:/path" list). Defined in farm/client.cpp;
+/// makeBackend routes both kinds here.
 std::unique_ptr<EvaluationBackend>
-makeRemoteBackend(const ir::Module& base, const FitnessFunction& fitness,
-                  const EvolutionParams& params);
+makeFarmBackend(const ir::Module& base, const FitnessFunction& fitness,
+                const EvolutionParams& params);
 
 /// Evaluate one edit list through the two-stage pipeline against a
 /// precompiled \p compiler. With a \p programCache this is the cached-path
@@ -131,8 +130,9 @@ makeRemoteBackend(const ir::Module& base, const FitnessFunction& fitness,
 /// otherwise); without one it is the compile-per-call reference path
 /// (every task simulated, no cache lookups). \p programKeyOut, when
 /// non-null, receives the program content key of a fresh simulation
-/// (out-of-process workers ship it back so the caller's live cache learns
-/// the result). Shared by every backend and the farm worker session.
+/// (sessions ship it back so the caller's live cache learns the result).
+/// Shared by the in-process backend, the worker session and the farm
+/// dispatcher's local fallback.
 EvalOutcome
 evaluateTask(const VariantCompiler& compiler, const FitnessFunction& fitness,
              const std::vector<mut::Edit>& edits, VariantCache* programCache,

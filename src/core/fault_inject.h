@@ -1,8 +1,9 @@
 /// \file
 /// Deterministic fault injection for the evaluation backends and the
-/// farm (GEVO_FAULT_INJECT). Shared by the in-process/isolated backends
-/// (core/eval_backend.cpp) and the remote worker session
-/// (farm/session.cpp) so one spec can drive every failure path.
+/// farm (GEVO_FAULT_INJECT). Shared by the in-process backend
+/// (core/eval_backend.cpp) and the worker session behind the isolated
+/// and remote backends (farm/session.cpp), so one spec can drive every
+/// failure path.
 ///
 /// Spec grammar: a comma-separated list of `kind@N` entries, firing when
 /// the global evaluation sequence number equals N (or any later number
@@ -10,17 +11,17 @@
 ///
 ///   crash      — the evaluating process raises SIGSEGV.
 ///   hang       — the evaluation sleeps until a watchdog kills it.
-///   garbage    — an isolated/farm worker writes a malformed frame.
-///   disconnect — a farm worker closes the connection instead of
-///                replying (network-layer death, no process exit code).
-///   delay      — a farm worker replies, but only after sleeping past
-///                the client's per-evaluation deadline.
-///   truncate   — a farm worker sends a partial frame, then closes
+///   garbage    — a worker session writes a malformed frame.
+///   disconnect — a session closes the connection instead of replying
+///                (network-layer death, no process exit code).
+///   delay      — a session replies, but only after sleeping past the
+///                client's per-evaluation deadline.
+///   truncate   — a session sends a partial frame, then closes
 ///                (mid-frame peer loss).
 ///
-/// The network kinds are meaningless to the in-process and isolated
-/// backends and are ignored there, so a single spec can drive a test
-/// that compares backends. Malformed specs are fatal user errors — a
+/// Every kind but crash and hang is meaningless to the in-process
+/// backend and ignored there, so a single spec can drive a test that
+/// compares backends. Malformed specs are fatal user errors — a
 /// silently ignored fault spec would make a crash test vacuously green.
 
 #ifndef GEVO_CORE_FAULT_INJECT_H
@@ -67,7 +68,7 @@ std::optional<FaultKind> faultFor(const std::vector<FaultSpec>& specs,
 [[noreturn]] void faultHang();
 
 /// Write bytes that are not a stream frame (wrong magic) to \p fd: the
-/// corrupt-response path of every out-of-process evaluator.
+/// corrupt-response path of every worker session.
 void faultGarbage(int fd);
 
 } // namespace gevo::core

@@ -1,7 +1,6 @@
 #include "core/fitness.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -15,10 +14,6 @@
 namespace gevo::core {
 
 namespace {
-
-// Stage-time accumulators (nanoseconds), summed across evaluator threads.
-std::atomic<std::uint64_t> gCompileNs{0};
-std::atomic<std::uint64_t> gSimulateNs{0};
 
 // -1 = not yet resolved from the environment.
 std::atomic<int> gCompileMode{-1};
@@ -49,36 +44,6 @@ void
 setCompileMode(CompileMode mode)
 {
     gCompileMode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-StageTimes
-stageTimes()
-{
-    StageTimes t;
-    t.compileMs =
-        gCompileNs.load(std::memory_order_relaxed) / 1e6;
-    t.simulateMs =
-        gSimulateNs.load(std::memory_order_relaxed) / 1e6;
-    return t;
-}
-
-void
-resetStageTimes()
-{
-    gCompileNs.store(0, std::memory_order_relaxed);
-    gSimulateNs.store(0, std::memory_order_relaxed);
-}
-
-void
-recordCompileNs(std::uint64_t ns)
-{
-    gCompileNs.fetch_add(ns, std::memory_order_relaxed);
-}
-
-void
-recordSimulateNs(std::uint64_t ns)
-{
-    gSimulateNs.fetch_add(ns, std::memory_order_relaxed);
 }
 
 void
@@ -204,25 +169,13 @@ VariantCompiler::compile(const std::vector<mut::Edit>& edits) const
 }
 
 FitnessResult
-scoreVariant(const FitnessFunction& fitness, const CompiledVariant& variant)
-{
-    const auto start = std::chrono::steady_clock::now();
-    FitnessResult result = fitness.evaluate(variant);
-    recordSimulateNs(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-    return result;
-}
-
-FitnessResult
 evaluateVariant(const ir::Module& base, const std::vector<mut::Edit>& edits,
                 const FitnessFunction& fitness)
 {
     const CompiledVariant cv = compileVariant(base, edits);
     if (!cv.ok)
         return FitnessResult::fail(cv.failReason);
-    return scoreVariant(fitness, cv);
+    return fitness.evaluate(cv);
 }
 
 } // namespace gevo::core

@@ -255,32 +255,6 @@ FitnessResult evaluateVariant(const ir::Module& base,
                               const std::vector<mut::Edit>& edits,
                               const FitnessFunction& fitness);
 
-/// Score stage shared by every evaluate call site (both evaluation
-/// backends and evaluateVariant): runs fitness.evaluate under the
-/// simulate stage timer, so the objective vector is produced — and its
-/// cost attributed — in exactly one place. \pre variant.ok.
-FitnessResult scoreVariant(const FitnessFunction& fitness,
-                           const CompiledVariant& variant);
-
-/// Cumulative wall-clock spent in each pipeline stage since the last
-/// reset, summed across evaluator threads.
-struct StageTimes {
-    double compileMs = 0.0;  ///< VariantCompiler::compile / compileVariant.
-    double simulateMs = 0.0; ///< FitnessFunction::evaluate.
-};
-
-/// Per-stage attribution of evaluation cost. The evaluation backends
-/// record around both stages; bench/throughput resets before a search and
-/// reads after, so the --json rows can split uncached cost between
-/// compile and simulate. Relaxed atomics — totals, not ordering. Caveat:
-/// the isolated backend's forked workers accumulate in their own address
-/// spaces, so only in-process evaluation (the bench default) is
-/// attributed.
-StageTimes stageTimes();
-void resetStageTimes();
-void recordCompileNs(std::uint64_t ns);
-void recordSimulateNs(std::uint64_t ns);
-
 } // namespace gevo::core
 
 #endif // GEVO_CORE_FITNESS_H

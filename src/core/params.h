@@ -22,11 +22,11 @@ enum class EvalBackendKind : std::uint8_t {
     /// address space. Fastest; a variant that crashes or hangs the
     /// simulator takes the whole search down with it.
     InProcess,
-    /// Fork-per-batch worker processes on a pipe protocol with a
-    /// per-evaluation wall-clock watchdog: a variant that segfaults,
-    /// aborts, OOMs or hangs kills only its worker. The failure is scored
-    /// as a deterministic invalid-individual penalty and the genotype is
-    /// quarantined so it is never dispatched again.
+    /// Farm worker sessions forked per batch over socketpairs, under the
+    /// farm dispatcher's per-evaluation deadline: a variant that
+    /// segfaults, aborts, OOMs or hangs kills only its session. Two
+    /// strikes score it as a deterministic invalid-individual penalty
+    /// and the genotype is quarantined so it is never dispatched again.
     Isolated,
     /// Socket-based evaluation farm (src/farm/): batches are sharded
     /// across `workers` daemons over the framed protocol, with
@@ -162,13 +162,12 @@ struct EvolutionParams {
     // ---- robustness (crash isolation + durable search state) ----
     /// Evaluation backend. InProcess is trajectory-identical to the
     /// pre-backend engine; Isolated survives worker crashes/hangs at the
-    /// cost of fork/pipe overhead per generation.
+    /// cost of forking its sessions every generation.
     EvalBackendKind backend = EvalBackendKind::InProcess;
     /// Per-evaluation wall-clock watchdog budget, applied uniformly to
-    /// every out-of-process path: the isolated backend kills the worker
-    /// and scores a WorkerTimeout penalty; the remote backend treats a
-    /// silent connection as dead after this budget (a WorkerTimeout
-    /// once the redispatch strikes are exhausted). Ignored by the
+    /// both out-of-process backends: a session silent for this long is
+    /// treated as dead (the isolated backend also kills it), and the
+    /// second such strike scores a WorkerTimeout penalty. Ignored by the
     /// in-process backend.
     std::uint32_t evalTimeoutMs = 30000;
     /// Remote-backend worker endpoints: comma-separated "host:port" or

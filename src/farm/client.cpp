@@ -4,16 +4,21 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "farm/endpoint.h"
 #include "farm/protocol.h"
+#include "farm/session.h"
 #include "support/io.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -27,8 +32,9 @@ using core::EvalOutcome;
 
 /// Redispatch budget per evaluation: the first strike forgives a worker
 /// dying underneath an innocent request; the second writes the variant
-/// off as the likely killer (matching the isolated backend's
-/// one-respawn-then-penalize discipline at dispatch).
+/// off as the likely killer. Injected faults are keyed on the sequence
+/// number, which a redispatch keeps, so each one settles as exactly one
+/// penalty.
 constexpr std::uint8_t kStrikes = 2;
 /// Requests pipelined per connection: one being evaluated, one queued
 /// behind it so the worker never idles between evaluations.
@@ -47,45 +53,57 @@ backoffAfter(std::uint32_t attempts)
         std::min<std::uint64_t>(100ull << shift, 5000));
 }
 
-class RemoteBackend final : public core::EvaluationBackend {
+class FarmBackend final : public core::EvaluationBackend {
   public:
-    RemoteBackend(const ir::Module& base,
-                  const core::FitnessFunction& fitness,
-                  const core::EvolutionParams& params)
+    FarmBackend(const ir::Module& base, const core::FitnessFunction& fitness,
+                const core::EvolutionParams& params)
         : compiler_(base), fitness_(fitness),
           timeoutMs_(params.evalTimeoutMs),
           scope_(trajectoryScope(compiler_, fitness))
     {
-        GEVO_ASSERT(timeoutMs_ > 0, "remote deadline needs a budget");
+        GEVO_ASSERT(timeoutMs_ > 0, "evaluation deadline needs a budget");
         // A worker vanishing mid-send must surface as a write error on
         // the socket, not a process-killing SIGPIPE.
         std::signal(SIGPIPE, SIG_IGN);
+        if (params.backend == core::EvalBackendKind::Isolated) {
+            forkWorkers_ = params.threads != 0
+                               ? params.threads
+                               : std::max(1u,
+                                          std::thread::hardware_concurrency());
+            // The forked sessions read the fault schedule too; a malformed
+            // one must end the search here, not kill a session.
+            core::parseFaultSpecs();
+            return;
+        }
         for (const auto& part : split(params.workers, ',')) {
             const auto spec = trim(part);
             if (spec.empty())
                 continue;
-            Remote r;
+            Link l;
             std::string error;
-            if (!parseEndpoint(std::string(spec), &r.ep, &error))
+            if (!parseEndpoint(std::string(spec), &l.ep, &error))
                 GEVO_FATAL("--workers: %s", error.c_str());
-            remotes_.push_back(std::move(r));
+            links_.push_back(std::move(l));
         }
-        if (remotes_.empty())
+        if (links_.empty())
             GEVO_FATAL("--workers: no endpoints in '%s'",
                        params.workers.c_str());
         // Dial eagerly so a misconfigured farm (wrong workload, wrong
         // version) warns before the search invests anything; failures
         // here just start the normal backoff schedule.
-        for (auto& r : remotes_)
-            tryConnect(&r);
+        for (auto& l : links_)
+            tryConnect(&l);
     }
 
-    ~RemoteBackend() override
+    FarmBackend(const FarmBackend&) = delete;
+    FarmBackend& operator=(const FarmBackend&) = delete;
+
+    ~FarmBackend() override
     {
-        for (auto& r : remotes_)
-            closeRemote(&r);
+        for (auto& l : links_)
+            closeLink(&l);
         // Failure counters are reported loudly (the run completed, but
-        // an operator should know the farm misbehaved); a clean run
+        // an operator should know the workers misbehaved); a clean run
         // logs at info level only.
         const bool faulty =
             counters_.redispatched + counters_.disconnects +
@@ -93,10 +111,11 @@ class RemoteBackend final : public core::EvaluationBackend {
                 counters_.handshakeRejects + counters_.localEvals >
             0;
         (faulty ? warn : inform)(
-            "remote backend: %llu dispatched, %llu redispatched, "
+            "%s backend: %llu dispatched, %llu redispatched, "
             "%llu disconnects, %llu crc errors, %llu rpc timeouts, "
             "%llu handshake rejects, %llu reconnects, %llu local "
             "evaluations",
+            forkWorkers_ != 0 ? "isolated" : "remote",
             counters_.dispatched, counters_.redispatched,
             counters_.disconnects, counters_.crcErrors,
             counters_.rpcTimeouts, counters_.handshakeRejects,
@@ -109,47 +128,52 @@ class RemoteBackend final : public core::EvaluationBackend {
                   std::vector<EvalOutcome>* out) override
     {
         out->assign(batch.size(), EvalOutcome{});
-        out_ = out;
         if (batch.empty())
             return;
-        const std::uint64_t seqBase = nextSeq_;
+        out_ = out;
+        cache_ = programCache;
+        seqBase_ = nextSeq_;
         nextSeq_ += batch.size();
 
         tasks_.assign(batch.size(), Task{});
         for (std::size_t i = 0; i < batch.size(); ++i) {
             EvalRequest req;
-            req.seq = seqBase + i;
+            req.seq = seqBase_ + i;
             req.useCache = programCache != nullptr;
             req.edits = *batch[i];
             appendFrame(&tasks_[i].wire, encodeEvalRequest(req));
-        }
-        pending_.clear();
-        for (std::size_t i = 0; i < batch.size(); ++i)
             pending_.push_back(i);
+        }
         settled_ = 0;
-        seqBase_ = seqBase;
-        batchSize_ = batch.size();
 
-        heartbeat();
-        while (settled_ < batchSize_) {
+        if (forkWorkers_ != 0) {
+            // Fresh sessions per batch: each inherits the batch's program
+            // cache as a copy-on-write snapshot, so with one worker the
+            // hits and misses are exactly the in-process ones.
+            links_.assign(std::min(forkWorkers_, batch.size()), Link{});
+            for (auto& l : links_)
+                tryConnect(&l);
+        } else {
+            heartbeat();
+        }
+        while (settled_ < batch.size()) {
             tryReconnects();
             if (!anyUp() && allGone()) {
-                localFallback(batch, programCache);
+                localFallback(batch);
                 break;
             }
-            dispatchPending(programCache);
-            pollOnce(programCache);
+            dispatchPending();
+            pollOnce();
+        }
+        if (forkWorkers_ != 0) {
+            for (auto& l : links_)
+                closeLink(&l);
+            links_.clear();
         }
         tasks_.clear();
         pending_.clear();
         out_ = nullptr;
-    }
-
-    std::string
-    describe() const override
-    {
-        return strformat("remote x%zu (deadline %u ms)", remotes_.size(),
-                         timeoutMs_);
+        cache_ = nullptr;
     }
 
   private:
@@ -157,12 +181,14 @@ class RemoteBackend final : public core::EvaluationBackend {
     using Clock = std::chrono::steady_clock;
     static_assert(Clock::is_steady, "deadline clock must be monotonic");
 
-    struct Remote {
-        Endpoint ep;
+    /// One connection to a worker session: a dialed workerd daemon, or a
+    /// session this process forked.
+    struct Link {
+        Endpoint ep;      ///< Remote only.
+        pid_t pid = -1;   ///< The forked session, isolated only.
         int fd = -1;
-        bool up = false;       ///< Connected and handshaken.
-        bool rejected = false; ///< Handshake rejected: never redial.
-        bool gone = false;     ///< Permanently unusable this run.
+        bool up = false;   ///< Connected and handshaken.
+        bool gone = false; ///< Permanently unusable this run.
         std::uint32_t attempts = 0; ///< Consecutive failed dials.
         Clock::time_point nextAttempt = Clock::time_point::min();
         bool everUp = false;
@@ -193,31 +219,40 @@ class RemoteBackend final : public core::EvaluationBackend {
     bool
     anyUp() const
     {
-        return std::any_of(remotes_.begin(), remotes_.end(),
-                           [](const Remote& r) { return r.up; });
+        return std::any_of(links_.begin(), links_.end(),
+                           [](const Link& l) { return l.up; });
     }
 
     bool
     allGone() const
     {
-        return std::all_of(remotes_.begin(), remotes_.end(),
-                           [](const Remote& r) { return r.gone; });
+        return std::all_of(links_.begin(), links_.end(),
+                           [](const Link& l) { return l.gone; });
     }
 
+    /// Close \p l's socket. A forked session is killed and reaped with
+    /// it: one past its deadline would otherwise run on until its own
+    /// alarm, and none may outlive the batch.
     void
-    closeRemote(Remote* r)
+    closeLink(Link* l)
     {
-        if (r->fd >= 0)
-            ::close(r->fd);
-        r->fd = -1;
-        r->up = false;
-        r->reader.reset();
-        r->inflight.clear();
+        if (l->fd >= 0)
+            ::close(l->fd);
+        l->fd = -1;
+        if (l->pid > 0) {
+            ::kill(l->pid, SIGKILL);
+            while (::waitpid(l->pid, nullptr, 0) < 0 && errno == EINTR) {
+            }
+            l->pid = -1;
+        }
+        l->up = false;
+        l->reader.reset();
+        l->inflight.clear();
     }
 
-    /// The deterministic penalty for an evaluation the farm could not
-    /// complete (no hostnames, no timestamps: the same variant scores
-    /// the same penalty on every run).
+    /// The deterministic penalty for an evaluation no worker completed
+    /// (no hostnames, pids or timestamps: the same variant scores the
+    /// same penalty on every run and every backend).
     EvalOutcome
     penaltyOutcome(EvalFailure failure) const
     {
@@ -225,17 +260,16 @@ class RemoteBackend final : public core::EvaluationBackend {
         out.failure = failure;
         switch (failure) {
           case EvalFailure::WorkerCrash:
-            out.result = core::FitnessResult::fail(
-                "remote evaluation connection lost");
+            out.result =
+                core::FitnessResult::fail("evaluation worker lost");
             break;
           case EvalFailure::WorkerTimeout:
-            out.result = core::FitnessResult::fail(
-                strformat("remote evaluation exceeded the %u ms deadline",
-                          timeoutMs_));
+            out.result = core::FitnessResult::fail(strformat(
+                "evaluation exceeded the %u ms deadline", timeoutMs_));
             break;
           case EvalFailure::ProtocolError:
             out.result = core::FitnessResult::fail(
-                "remote worker protocol error");
+                "evaluation worker protocol error");
             break;
           case EvalFailure::None:
             GEVO_PANIC("penaltyOutcome(None)");
@@ -264,19 +298,19 @@ class RemoteBackend final : public core::EvaluationBackend {
         }
     }
 
-    /// The transport under \p r died (EOF, reset, write failure,
-    /// corrupt frame). The front request — the one being evaluated —
-    /// takes the strike; everything queued behind it is redispatched
-    /// unpenalized. The endpoint goes to the redial schedule.
+    /// The transport under \p l died (EOF, reset, write failure,
+    /// corrupt frame, blown deadline). The front request — the one being
+    /// evaluated — takes the strike; everything queued behind it is
+    /// redispatched unpenalized. The link goes to the redial schedule.
     void
-    connectionLost(Remote* r, EvalFailure frontKind)
+    connectionLost(Link* l, EvalFailure frontKind)
     {
         ++counters_.disconnects;
         // Requeue back-to-front so pending_ preserves dispatch order.
-        std::deque<std::size_t> inflight = std::move(r->inflight);
-        closeRemote(r);
-        r->attempts = 0;
-        r->nextAttempt = Clock::now(); // First redial is immediate.
+        std::deque<std::size_t> inflight = std::move(l->inflight);
+        closeLink(l);
+        l->attempts = 0;
+        l->nextAttempt = Clock::now(); // First redial is immediate.
         while (inflight.size() > 1) {
             pending_.push_front(inflight.back());
             inflight.pop_back();
@@ -291,48 +325,65 @@ class RemoteBackend final : public core::EvaluationBackend {
         // Probe idle connections at batch start so a worker that died
         // between generations is redialed before any request is risked
         // on its half-open socket. Pongs are drained during polling.
-        for (auto& r : remotes_) {
-            if (!r.up || !r.inflight.empty())
+        for (auto& l : links_) {
+            if (!l.up || !l.inflight.empty())
                 continue;
-            if (!writeFrame(r.fd, encodePing(nextSeq_)))
-                connectionLost(&r, EvalFailure::WorkerCrash);
+            if (!writeFrame(l.fd, encodePing(nextSeq_)))
+                connectionLost(&l, EvalFailure::WorkerCrash);
         }
     }
 
-    void
-    tryConnect(Remote* r)
+    /// Fork a WorkerSession on one end of a fresh socketpair and return
+    /// the other end. The child inherits the compiler, the fitness
+    /// function and the batch's program cache by copy-on-write.
+    int
+    forkSession(Link* l)
     {
-        std::string error;
-        const int fd = connectEndpoint(r->ep, kConnectTimeoutMs, &error);
-        if (fd < 0) {
-            ++r->attempts;
-            r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-            return;
+        int sv[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+            GEVO_FATAL("isolated backend: socketpair failed: %s",
+                       std::strerror(errno));
+        const pid_t pid = ::fork();
+        if (pid < 0)
+            GEVO_FATAL("isolated backend: fork failed: %s",
+                       std::strerror(errno));
+        if (pid == 0) {
+            // A sibling holding another session's socket open would mask
+            // that session's EOF from the parent when it crashes.
+            ::close(sv[0]);
+            for (const auto& other : links_) {
+                if (other.fd >= 0)
+                    ::close(other.fd);
+            }
+            WorkerSession session(compiler_, fitness_, cache_, scope_,
+                                  "isolated session");
+            session.serve(sv[1]);
+            std::_Exit(0);
         }
+        ::close(sv[1]);
+        l->pid = pid;
+        return sv[0];
+    }
+
+    /// Send Hello on \p fd and await the worker's verdict frame within a
+    /// hard budget.
+    bool
+    awaitVerdict(int fd, std::string* payload) const
+    {
         HelloMsg hello;
         hello.scope = scope_;
         hello.timeoutMs = timeoutMs_;
-        if (!writeFrame(fd, encodeHello(hello))) {
-            ::close(fd);
-            ++r->attempts;
-            r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-            return;
-        }
-        // Await the HelloOk/HelloReject verdict within a hard budget.
+        if (!writeFrame(fd, encodeHello(hello)))
+            return false;
         FrameReader reader;
-        std::string payload;
         const auto deadline =
             Clock::now() + std::chrono::milliseconds(kHandshakeTimeoutMs);
         for (;;) {
-            const auto st = reader.next(&payload);
+            const auto st = reader.next(payload);
             if (st == FrameReader::Status::Frame)
-                break;
-            if (st == FrameReader::Status::Corrupt || Clock::now() >= deadline) {
-                ::close(fd);
-                ++r->attempts;
-                r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-                return;
-            }
+                return true;
+            if (st == FrameReader::Status::Corrupt || Clock::now() >= deadline)
+                return false;
             pollfd pfd{fd, POLLIN, 0};
             const auto left =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -342,69 +393,76 @@ class RemoteBackend final : public core::EvaluationBackend {
                        static_cast<int>(std::max<long long>(left.count(), 0)));
             if (rc < 0 && errno == EINTR)
                 continue;
-            if (rc <= 0 || reader.fill(fd) <= 0) {
-                ::close(fd);
-                ++r->attempts;
-                r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
+            if (rc <= 0 || reader.fill(fd) <= 0)
+                return false;
+        }
+    }
+
+    void
+    tryConnect(Link* l)
+    {
+        std::string error;
+        l->fd = forkWorkers_ != 0
+                    ? forkSession(l)
+                    : connectEndpoint(l->ep, kConnectTimeoutMs, &error);
+        std::string payload;
+        std::string text;
+        if (l->fd >= 0 && awaitVerdict(l->fd, &payload)) {
+            if (decodeHelloOk(payload, &text)) {
+                l->up = true;
+                l->attempts = 0;
+                if (l->everUp)
+                    ++counters_.reconnects;
+                l->everUp = true;
+                return;
+            }
+            if (decodeHelloReject(payload, &text)) {
+                // Wrong trajectory scope or protocol version: this
+                // daemon can never serve this search. Same verdict a
+                // mismatched checkpoint gets — refuse, loudly.
+                closeLink(l);
+                warn("remote worker %s rejected the handshake (%s); "
+                     "abandoning it for this run",
+                     l->ep.spec.c_str(), text.c_str());
+                ++counters_.handshakeRejects;
+                l->gone = true;
                 return;
             }
         }
-        std::string text;
-        if (decodeHelloOk(payload, &text)) {
-            r->fd = fd;
-            r->up = true;
-            r->attempts = 0;
-            if (r->everUp)
-                ++counters_.reconnects;
-            r->everUp = true;
-            return;
-        }
-        ::close(fd);
-        if (decodeHelloReject(payload, &text)) {
-            // Wrong trajectory scope or protocol version: this daemon
-            // can never serve this search. Same verdict a mismatched
-            // checkpoint gets — refuse, loudly.
-            warn("remote worker %s rejected the handshake (%s); "
-                 "abandoning it for this run",
-                 r->ep.spec.c_str(), text.c_str());
-            ++counters_.handshakeRejects;
-            r->rejected = true;
-            r->gone = true;
-            return;
-        }
-        ++r->attempts;
-        r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
+        closeLink(l);
+        ++l->attempts;
+        l->nextAttempt = Clock::now() + backoffAfter(l->attempts);
     }
 
     void
     tryReconnects()
     {
         const auto now = Clock::now();
-        for (auto& r : remotes_) {
-            if (r.up || r.gone)
+        for (auto& l : links_) {
+            if (l.up || l.gone)
                 continue;
-            if (r.attempts >= kMaxConnectAttempts) {
-                warn("remote worker %s unreachable after %u dial "
+            if (l.attempts >= kMaxConnectAttempts) {
+                warn("evaluation worker %s unreachable after %u dial "
                      "attempts; abandoning it for this run",
-                     r.ep.spec.c_str(), r.attempts);
-                r.gone = true;
+                     l.ep.spec.c_str(), l.attempts);
+                l.gone = true;
                 continue;
             }
-            if (now >= r.nextAttempt)
-                tryConnect(&r);
+            if (now >= l.nextAttempt)
+                tryConnect(&l);
         }
     }
 
     void
-    dispatchPending(core::VariantCache* programCache)
+    dispatchPending()
     {
         while (!pending_.empty()) {
-            Remote* target = nullptr;
-            for (std::size_t k = 0; k < remotes_.size(); ++k) {
-                Remote& r = remotes_[(rrCursor_ + k) % remotes_.size()];
-                if (r.up && r.inflight.size() < kPipelineDepth) {
-                    target = &r;
-                    rrCursor_ = (rrCursor_ + k + 1) % remotes_.size();
+            Link* target = nullptr;
+            for (std::size_t k = 0; k < links_.size(); ++k) {
+                Link& l = links_[(rrCursor_ + k) % links_.size()];
+                if (l.up && l.inflight.size() < kPipelineDepth) {
+                    target = &l;
+                    rrCursor_ = (rrCursor_ + k + 1) % links_.size();
                     break;
                 }
             }
@@ -415,7 +473,7 @@ class RemoteBackend final : public core::EvaluationBackend {
             if (!writeAll(target->fd, wire.data(), wire.size())) {
                 // The worker hung up. This task was never in flight there
                 // and is retried on the next loop.
-                sendFailed(target, programCache);
+                sendFailed(target);
                 continue;
             }
             pending_.pop_front();
@@ -427,27 +485,27 @@ class RemoteBackend final : public core::EvaluationBackend {
     }
 
     void
-    armFrontDeadline(Remote* r)
+    armFrontDeadline(Link* l)
     {
-        r->frontDeadline =
+        l->frontDeadline =
             Clock::now() + std::chrono::milliseconds(timeoutMs_);
     }
 
     void
-    pollOnce(core::VariantCache* programCache)
+    pollOnce()
     {
         std::vector<pollfd> fds;
         std::vector<std::size_t> owner;
         auto wake = Clock::time_point::max();
-        for (std::size_t i = 0; i < remotes_.size(); ++i) {
-            Remote& r = remotes_[i];
-            if (r.up) {
-                fds.push_back({r.fd, POLLIN, 0});
+        for (std::size_t i = 0; i < links_.size(); ++i) {
+            Link& l = links_[i];
+            if (l.up) {
+                fds.push_back({l.fd, POLLIN, 0});
                 owner.push_back(i);
-                if (!r.inflight.empty())
-                    wake = std::min(wake, r.frontDeadline);
-            } else if (!r.gone) {
-                wake = std::min(wake, r.nextAttempt);
+                if (!l.inflight.empty())
+                    wake = std::min(wake, l.frontDeadline);
+            } else if (!l.gone) {
+                wake = std::min(wake, l.nextAttempt);
             }
         }
         const auto now = Clock::now();
@@ -462,38 +520,38 @@ class RemoteBackend final : public core::EvaluationBackend {
         const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                               timeout);
         if (rc < 0 && errno != EINTR)
-            GEVO_PANIC("remote backend: poll failed: %s",
+            GEVO_PANIC("farm dispatcher: poll failed: %s",
                        std::strerror(errno));
         if (rc > 0) {
             for (std::size_t k = 0; k < fds.size(); ++k) {
                 if (fds[k].revents & (POLLIN | POLLHUP | POLLERR))
-                    drainRemote(&remotes_[owner[k]], programCache);
+                    drainLink(&links_[owner[k]]);
             }
         }
         // Deadline pass: a silent front past its budget means the worker
         // is wedged (or the link is black-holing) — drop the connection,
-        // strike the front as an RPC timeout, redispatch the rest.
+        // strike the front as a timeout, redispatch the rest.
         const auto after = Clock::now();
-        for (auto& r : remotes_) {
-            if (r.up && !r.inflight.empty() && after >= r.frontDeadline)
-                connectionLost(&r, EvalFailure::WorkerTimeout);
+        for (auto& l : links_) {
+            if (l.up && !l.inflight.empty() && after >= l.frontDeadline)
+                connectionLost(&l, EvalFailure::WorkerTimeout);
         }
     }
 
     void
-    drainRemote(Remote* r, core::VariantCache* programCache)
+    drainLink(Link* l)
     {
-        const ssize_t n = r->reader.fill(r->fd);
+        const ssize_t n = l->reader.fill(l->fd);
         if (n < 0 && errno == EAGAIN)
             return;
         if (n <= 0) {
-            connectionLost(r, EvalFailure::WorkerCrash);
+            connectionLost(l, EvalFailure::WorkerCrash);
             return;
         }
-        consumeFrames(r, programCache);
+        consumeFrames(l);
     }
 
-    /// A send to \p r failed: its worker hung up. Whatever it wrote
+    /// A send to \p l failed: its worker hung up. Whatever it wrote
     /// before that — replies, or the bytes that corrupted its stream — is
     /// still queued on our side. Read it first, so the front settles as
     /// what the worker actually did (a garbage reply is a protocol error,
@@ -501,30 +559,30 @@ class RemoteBackend final : public core::EvaluationBackend {
     /// already has. Only bytes readable now are consumed: a hung-up
     /// peer's are all queued, and the send loop never blocks here.
     void
-    sendFailed(Remote* r, core::VariantCache* programCache)
+    sendFailed(Link* l)
     {
-        pollfd pfd{r->fd, POLLIN, 0};
-        while (r->up && ::poll(&pfd, 1, 0) > 0 && r->reader.fill(r->fd) > 0)
-            consumeFrames(r, programCache);
-        if (r->up)
-            connectionLost(r, EvalFailure::WorkerCrash);
+        pollfd pfd{l->fd, POLLIN, 0};
+        while (l->up && ::poll(&pfd, 1, 0) > 0 && l->reader.fill(l->fd) > 0)
+            consumeFrames(l);
+        if (l->up)
+            connectionLost(l, EvalFailure::WorkerCrash);
     }
 
-    /// Handle every complete frame buffered for \p r; a corrupt or
+    /// Handle every complete frame buffered for \p l; a corrupt or
     /// unexpected one tears the connection down.
     void
-    consumeFrames(Remote* r, core::VariantCache* programCache)
+    consumeFrames(Link* l)
     {
         std::string payload;
         for (;;) {
-            switch (r->reader.next(&payload)) {
+            switch (l->reader.next(&payload)) {
               case FrameReader::Status::Frame:
-                if (!handleFrame(r, payload, programCache))
+                if (!handleFrame(l, payload))
                     return; // Connection already torn down.
                 continue;
               case FrameReader::Status::Corrupt:
                 ++counters_.crcErrors;
-                connectionLost(r, EvalFailure::ProtocolError);
+                connectionLost(l, EvalFailure::ProtocolError);
                 return;
               case FrameReader::Status::NeedMore:
                 return;
@@ -533,8 +591,7 @@ class RemoteBackend final : public core::EvaluationBackend {
     }
 
     bool
-    handleFrame(Remote* r, const std::string& payload,
-                core::VariantCache* programCache)
+    handleFrame(Link* l, const std::string& payload)
     {
         switch (payloadType(payload)) {
           case MsgType::Pong:
@@ -543,35 +600,33 @@ class RemoteBackend final : public core::EvaluationBackend {
             EvalReply reply;
             if (!decodeEvalReply(payload, &reply))
                 break;
-            if (reply.seq < seqBase_ || reply.seq - seqBase_ >= batchSize_)
+            if (reply.seq < seqBase_ || reply.seq - seqBase_ >= tasks_.size())
                 break;
             const std::size_t task =
                 static_cast<std::size_t>(reply.seq - seqBase_);
-            const auto it = std::find(r->inflight.begin(),
-                                      r->inflight.end(), task);
-            if (it == r->inflight.end())
+            const auto it = std::find(l->inflight.begin(),
+                                      l->inflight.end(), task);
+            if (it == l->inflight.end())
                 break; // A result we never asked this worker for.
-            const bool wasFront = it == r->inflight.begin();
-            r->inflight.erase(it);
-            if (wasFront && !r->inflight.empty())
-                armFrontDeadline(r);
+            const bool wasFront = it == l->inflight.begin();
+            l->inflight.erase(it);
+            if (wasFront && !l->inflight.empty())
+                armFrontDeadline(l);
             // Commit strictly by batch index; arrival order is noise.
             (*out_)[task] = reply.outcome;
             tasks_[task].settled = true;
             ++settled_;
             // The worker's program-cache insert lives in its process;
-            // replay it into ours (exactly the isolated backend's
-            // parent-side replay).
-            if (programCache != nullptr && !reply.programKey.empty())
-                programCache->insert(reply.programKey,
-                                     reply.outcome.result);
+            // replay it into ours.
+            if (cache_ != nullptr && !reply.programKey.empty())
+                cache_->insert(reply.programKey, reply.outcome.result);
             return true;
           }
           default:
             break;
         }
         ++counters_.crcErrors;
-        connectionLost(r, EvalFailure::ProtocolError);
+        connectionLost(l, EvalFailure::ProtocolError);
         return false;
     }
 
@@ -581,11 +636,10 @@ class RemoteBackend final : public core::EvaluationBackend {
     /// here — a variant that plausibly killed a worker must not get a
     /// shot at the engine's own address space.
     void
-    localFallback(const std::vector<const std::vector<mut::Edit>*>& batch,
-                  core::VariantCache* programCache)
+    localFallback(const std::vector<const std::vector<mut::Edit>*>& batch)
     {
         if (!warnedFallback_) {
-            warn("remote backend: every worker is gone; continuing with "
+            warn("farm dispatcher: every worker is gone; continuing with "
                  "local in-process evaluation");
             warnedFallback_ = true;
         }
@@ -600,19 +654,24 @@ class RemoteBackend final : public core::EvaluationBackend {
             } else {
                 ++counters_.localEvals;
                 (*out_)[task] = core::evaluateTask(compiler_, fitness_,
-                                                   *batch[task],
-                                                   programCache, nullptr);
+                                                   *batch[task], cache_,
+                                                   nullptr);
             }
             t.settled = true;
             ++settled_;
         }
     }
 
-    core::VariantCompiler compiler_; ///< Local fallback + scope hash.
+    /// Precompiled before any fork: forked sessions inherit the cleaned
+    /// base and decoded base programs by copy-on-write. Also the local
+    /// fallback's compiler and the scope hash's input.
+    core::VariantCompiler compiler_;
     const core::FitnessFunction& fitness_;
     std::uint32_t timeoutMs_;
     std::uint64_t scope_;
-    std::vector<Remote> remotes_;
+    /// Sessions forked per batch (isolated); 0 = dial params.workers.
+    std::size_t forkWorkers_ = 0;
+    std::vector<Link> links_;
     std::size_t rrCursor_ = 0;
     std::uint64_t nextSeq_ = 0;
 
@@ -621,9 +680,10 @@ class RemoteBackend final : public core::EvaluationBackend {
     std::deque<std::size_t> pending_;
     std::size_t settled_ = 0;
     std::uint64_t seqBase_ = 0;
-    std::size_t batchSize_ = 0;
-    /// The current batch's output vector (valid within evaluateBatch).
+    /// The current batch's output vector and program cache (valid within
+    /// evaluateBatch).
     std::vector<EvalOutcome>* out_ = nullptr;
+    core::VariantCache* cache_ = nullptr;
 
     Counters counters_;
     bool warnedFallback_ = false;
@@ -636,10 +696,10 @@ class RemoteBackend final : public core::EvaluationBackend {
 namespace gevo::core {
 
 std::unique_ptr<EvaluationBackend>
-makeRemoteBackend(const ir::Module& base, const FitnessFunction& fitness,
-                  const EvolutionParams& params)
+makeFarmBackend(const ir::Module& base, const FitnessFunction& fitness,
+                const EvolutionParams& params)
 {
-    return std::make_unique<farm::RemoteBackend>(base, fitness, params);
+    return std::make_unique<farm::FarmBackend>(base, fitness, params);
 }
 
 } // namespace gevo::core

@@ -71,8 +71,7 @@ struct EvalRequest {
 
 /// Worker → client evaluation result: the shared EvalOutcome codec,
 /// including the program content key of a fresh simulation (the client
-/// replays the insert into its live cache, same as the isolated
-/// backend's parent).
+/// replays the insert into its live cache).
 struct EvalReply {
     std::uint64_t seq = 0;
     core::EvalOutcome outcome;

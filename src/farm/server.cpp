@@ -126,7 +126,11 @@ runWorkerServer(const ir::Module& base,
             installHandler(SIGINT, SIG_DFL);
             installHandler(SIGTERM, SIG_DFL);
             ::close(listenFd);
-            WorkerSession session(compiler, fitness, scope, opts.banner);
+            // A session-local cache: repeat programs across the client's
+            // generations are served without re-simulation.
+            core::VariantCache cache;
+            WorkerSession session(compiler, fitness, &cache, scope,
+                                  opts.banner);
             session.serve(conn);
             ::close(conn);
             std::_Exit(0);

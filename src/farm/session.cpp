@@ -28,9 +28,11 @@ sleepMs(std::uint64_t ms)
 
 WorkerSession::WorkerSession(const core::VariantCompiler& compiler,
                              const core::FitnessFunction& fitness,
-                             std::uint64_t scope, std::string banner)
+                             core::VariantCache* cache, std::uint64_t scope,
+                             std::string banner)
     : compiler_(compiler), fitness_(fitness), scope_(scope),
-      banner_(std::move(banner)), faults_(core::parseFaultSpecs())
+      banner_(std::move(banner)), faults_(core::parseFaultSpecs()),
+      cache_(cache)
 {
 }
 
@@ -129,7 +131,7 @@ WorkerSession::handleEval(int fd, const std::string& payload)
     reply.seq = req.seq;
     reply.outcome =
         core::evaluateTask(compiler_, fitness_, req.edits,
-                           req.useCache ? &cache_ : nullptr,
+                           req.useCache ? cache_ : nullptr,
                            req.useCache ? &reply.programKey : nullptr);
     ::alarm(0);
     ++served_;

@@ -1,9 +1,12 @@
 /// \file
 /// One farm worker connection: handshake, then serve Eval requests until
-/// the peer goes away. Runs in a short-lived child process forked by the
-/// WorkerServer (farm/server.h), so a crashing or hanging variant takes
-/// down only the session — the daemon accepts the client's reconnect
-/// with a fresh process.
+/// the peer goes away. Always runs in a short-lived forked child, so a
+/// crashing or hanging variant takes down only the session. Two places
+/// fork them: the workerd accept loop (farm/server.h), one per accepted
+/// connection, and the isolated backend (farm/client.h), which forks
+/// sessions over socketpairs at the start of each batch. Either way the
+/// dispatcher on the other end strikes the lost evaluation and
+/// redispatches it to a fresh session.
 
 #ifndef GEVO_FARM_SESSION_H
 #define GEVO_FARM_SESSION_H
@@ -20,12 +23,17 @@ namespace gevo::farm {
 
 class WorkerSession {
   public:
-    /// \p compiler and \p fitness must outlive the session. \p scope is
-    /// the daemon's trajectory-scope fingerprint (protocol.h); a Hello
-    /// carrying any other scope is rejected. \p banner is echoed in
-    /// HelloOk for client-side logs.
+    /// \p compiler, \p fitness and \p cache must outlive the session.
+    /// \p cache serves repeat programs and learns fresh ones: workerd
+    /// passes a session-local cache, the isolated backend the search's
+    /// own cache as its fork inherited it. Entries are values of the
+    /// deterministic fitness function, so hits and misses score
+    /// identically. \p scope is the daemon's trajectory-scope fingerprint
+    /// (protocol.h); a Hello carrying any other scope is rejected.
+    /// \p banner is echoed in HelloOk for client-side logs.
     WorkerSession(const core::VariantCompiler& compiler,
-                  const core::FitnessFunction& fitness, std::uint64_t scope,
+                  const core::FitnessFunction& fitness,
+                  core::VariantCache* cache, std::uint64_t scope,
                   std::string banner);
 
     /// Serve one connection until EOF, error, or corruption. Never
@@ -47,11 +55,7 @@ class WorkerSession {
     std::uint64_t scope_;
     std::string banner_;
     std::vector<core::FaultSpec> faults_;
-    /// Session-local program-content cache: repeat programs across a
-    /// client's generations are served without re-simulation. Purely an
-    /// optimization — entries are values of the deterministic fitness
-    /// function, so hits and misses score identically.
-    core::VariantCache cache_;
+    core::VariantCache* cache_;
     std::uint32_t clientTimeoutMs_ = 0;
     std::size_t served_ = 0;
 };

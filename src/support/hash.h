@@ -2,8 +2,8 @@
 /// BLAKE2b with a 16-byte output (RFC 7693, unkeyed): the 128-bit digest
 /// behind compiled-program content keys (sim::Program::keyFragment).
 ///
-/// Content keys cross process boundaries (isolated workers, farm
-/// sessions) and persist on disk (core/cache_store.h), so the digest must
+/// Content keys cross process boundaries (farm sessions, isolated or
+/// remote) and persist on disk (core/cache_store.h), so the digest must
 /// not depend on the host: input words are loaded with explicit
 /// little-endian reads and the output is the little-endian state bytes,
 /// exactly as the RFC specifies. Any conforming implementation

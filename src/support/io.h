@@ -1,8 +1,8 @@
 /// \file
-/// EINTR-safe full-buffer read/write on file descriptors: the transport
-/// under the core/codec.h stream frames, on pipes and on sockets alike.
-/// Short reads and writes are retried until the buffer completes or the
-/// peer is genuinely gone — a peer closing mid-frame surfaces as `false`
+/// EINTR-safe full-buffer write on file descriptors: the transport under
+/// the core/codec.h stream frames (reads go through FrameReader::fill).
+/// Short writes are retried until the buffer completes or the peer is
+/// genuinely gone — a peer closing mid-frame surfaces as `false`
 /// here and as a ProtocolError/connection loss at the protocol layer,
 /// never as process death (callers ignore SIGPIPE).
 
@@ -30,26 +30,6 @@ writeAll(int fd, const char* p, std::size_t n)
         }
         p += w;
         n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-/// Read exactly \p n bytes, retrying short reads and EINTR. False on a
-/// hard error or EOF mid-buffer.
-inline bool
-readFull(int fd, char* p, std::size_t n)
-{
-    while (n > 0) {
-        const ssize_t r = ::read(fd, p, n);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (r == 0)
-            return false; // EOF mid-message.
-        p += r;
-        n -= static_cast<std::size_t>(r);
     }
     return true;
 }

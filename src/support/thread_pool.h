@@ -57,7 +57,7 @@ class ThreadPool {
 /// caller never starts a thread of its own.
 ///
 /// A child that fork() made of a process running this code (the
-/// isolated backend's workers, workerd sessions) never uses helpers:
+/// isolated backend's sessions, workerd sessions) never uses helpers:
 /// available() is 0 there, so it neither waits on a helper that did not
 /// survive the fork nor starts helpers of its own.
 class HelperPool {

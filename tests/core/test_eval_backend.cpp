@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -302,6 +303,29 @@ TEST(EvalBackend, HangIsKilledByTheWatchdog)
         timeouts += log.workerTimeouts;
     EXPECT_EQ(timeouts, 1u);
     EXPECT_EQ(result.quarantined, 1u);
+}
+
+/// Every session the isolated backend forks is reaped before the search
+/// returns: one killed past its deadline, one that crashed, and the
+/// healthy ones closed at each batch end.
+TEST(EvalBackend, NoSessionOutlivesTheSearch)
+{
+    const auto mod = toyModule();
+    ToyFitness fitness;
+    for (const char* spec : {"hang@3", "crash@4"}) {
+        ScopedFaultInject fault(spec);
+        auto params = smallParams();
+        params.backend = EvalBackendKind::Isolated;
+        // Only process lifetimes are checked here, so a short deadline
+        // is safe even if a legitimate evaluation were to trip it.
+        params.evalTimeoutMs = 1000;
+        const auto result = EvolutionEngine(mod, fitness, params).run();
+        ASSERT_EQ(result.history.size(), params.generations) << spec;
+        int status = 0;
+        errno = 0;
+        EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << spec;
+        EXPECT_EQ(errno, ECHILD) << spec;
+    }
 }
 
 TEST(EvalBackend, GarbageResponseIsAProtocolError)

@@ -401,7 +401,7 @@ class SessionHarness {
     SessionHarness()
         : module_(parse()), compiler_(module_),
           scope_(trajectoryScope(compiler_, fitness_)),
-          session_(compiler_, fitness_, scope_, "toy banner")
+          session_(compiler_, fitness_, &cache_, scope_, "toy banner")
     {
         int fds[2];
         EXPECT_EQ(
@@ -470,6 +470,7 @@ class SessionHarness {
     ToyFitness fitness_;
     core::VariantCompiler compiler_;
     std::uint64_t scope_;
+    core::VariantCache cache_;
     WorkerSession session_;
     FrameReader reader_;
     std::thread thread_;
