@@ -13,10 +13,8 @@
 #include <cstdio>
 
 #include "apps/adept/driver.h"
-#include "apps/adept/fitness.h"
 #include "apps/adept/golden_edits.h"
 #include "apps/simcov/driver.h"
-#include "apps/simcov/fitness.h"
 #include "apps/simcov/golden_edits.h"
 #include "core/engine.h"
 #include "core/fitness.h"

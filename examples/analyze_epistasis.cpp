@@ -6,7 +6,6 @@
 
 #include "analysis/edit_analysis.h"
 #include "apps/adept/driver.h"
-#include "apps/adept/fitness.h"
 #include "apps/adept/golden_edits.h"
 
 using namespace gevo;

@@ -6,6 +6,7 @@
 #include "sim/device_memory.h"
 #include "sim/program.h"
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace gevo::adept {
 
@@ -77,8 +78,8 @@ AdeptDriver::run(const sim::ProgramSet& programs,
     const auto* fwdProg =
         programs.find(version_ == 0 ? "sw_fwd_v0" : "sw_fwd_v1");
     if (fwdProg == nullptr) {
-        out.fault.kind = sim::FaultKind::InvalidProgram;
-        out.fault.detail = "forward kernel missing from module";
+        out.fault = {sim::FaultKind::InvalidProgram,
+                     "forward kernel missing from module"};
         return out;
     }
     const sim::LaunchDims dims{n, maxThreads_, oversubscribe_,
@@ -96,17 +97,14 @@ AdeptDriver::run(const sim::ProgramSet& programs,
     const auto fwdRes =
         sim::launchKernel(dev, mem, *fwdProg, dims, fwdArgs, profile);
     out.fwdStats = fwdRes.stats;
-    out.totalMs += fwdRes.stats.ms;
-    if (!fwdRes.ok()) {
-        out.fault = fwdRes.fault;
+    if (!out.add(fwdRes))
         return out;
-    }
 
     if (version_ == 1) {
         const auto* revProg = programs.find("sw_rev_v1");
         if (revProg == nullptr) {
-            out.fault.kind = sim::FaultKind::InvalidProgram;
-            out.fault.detail = "reverse kernel missing from module";
+            out.fault = {sim::FaultKind::InvalidProgram,
+                         "reverse kernel missing from module"};
             return out;
         }
         const std::vector<std::uint64_t> revArgs = {
@@ -121,11 +119,8 @@ AdeptDriver::run(const sim::ProgramSet& programs,
         const auto revRes =
             sim::launchKernel(dev, mem, *revProg, dims, revArgs, profile);
         out.revStats = revRes.stats;
-        out.totalMs += revRes.stats.ms;
-        if (!revRes.ok()) {
-            out.fault = revRes.fault;
+        if (!out.add(revRes))
             return out;
-        }
     }
 
     out.results.resize(n);
@@ -140,6 +135,31 @@ AdeptDriver::run(const sim::ProgramSet& programs,
         }
     }
     return out;
+}
+
+std::string
+AdeptDriver::check(const AdeptRunOutput& out) const
+{
+    for (std::size_t p = 0; p < expected_.size(); ++p) {
+        const auto& got = out.results[p];
+        const auto& want = expected_[p];
+        if (!(got == want)) {
+            return strformat(
+                "pair %zu: got score %d end (%d,%d) start (%d,%d), want "
+                "score %d end (%d,%d) start (%d,%d)",
+                p, got.score, got.endA, got.endB, got.startA, got.startB,
+                want.score, want.endA, want.endB, want.startA,
+                want.startB);
+        }
+    }
+    return {};
+}
+
+std::string
+AdeptDriver::label(const sim::DeviceConfig& dev) const
+{
+    return strformat("adept(%zu pairs, %s)", pairs_.size(),
+                     dev.name.c_str());
 }
 
 } // namespace gevo::adept

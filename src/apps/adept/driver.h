@@ -11,20 +11,18 @@
 #include "apps/adept/kernels.h"
 #include "apps/adept/scoring.h"
 #include "apps/adept/sequences.h"
+#include "core/app.h"
 #include "sim/device_config.h"
 #include "sim/executor.h"
 
 namespace gevo::adept {
 
 /// Output of one full run over a pair set.
-struct AdeptRunOutput {
-    sim::Fault fault;                      ///< First fault, if any.
+/// `aggregate` is the forward plus the reverse launch.
+struct AdeptRunOutput : core::RunOutput {
     std::vector<AlignmentResult> results;  ///< Per pair (empty on fault).
-    double totalMs = 0.0;                  ///< Sum of kernel times.
     sim::LaunchStats fwdStats;
     sim::LaunchStats revStats;             ///< V1 only.
-
-    bool ok() const { return fault.ok(); }
 };
 
 /// Immutable dataset + launch configuration; safe to share across threads
@@ -72,6 +70,11 @@ class AdeptDriver {
     void setBlockThreads(std::uint32_t threads) { blockThreads_ = threads; }
     std::uint32_t blockThreads() const { return blockThreads_; }
 
+    /// Strict accuracy (paper Sec III-C): every pair's score, end and
+    /// start positions must match the CPU oracle.
+    std::string check(const AdeptRunOutput& out) const;
+    std::string label(const sim::DeviceConfig& dev) const;
+
   private:
     std::vector<SequencePair> pairs_;
     ScoringParams scoring_;
@@ -82,6 +85,10 @@ class AdeptDriver {
     std::uint32_t blockThreads_ = 1;
     std::vector<AlignmentResult> expected_;
 };
+
+/// Scores a module variant by total simulated kernel time over the
+/// AdeptDriver's pair set; any fault or any result mismatch invalidates it.
+using AdeptFitness = core::DriverFitness<AdeptDriver>;
 
 } // namespace gevo::adept
 

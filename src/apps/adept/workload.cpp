@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "apps/adept/driver.h"
-#include "apps/adept/fitness.h"
 #include "apps/adept/golden_edits.h"
 #include "apps/adept/sequences.h"
 #include "core/workload.h"
@@ -14,13 +13,19 @@ namespace gevo::adept {
 namespace {
 
 /// Self-owning instance: dataset, driver, oracle and fitness live exactly
-/// as long as the search that uses them.
-class AdeptWorkloadInstance : public core::WorkloadInstance {
+/// as long as the search that uses them. ADEPT has no held-out re-run:
+/// the boundary-probe pairs ride along in the fitness set instead.
+class AdeptWorkloadInstance
+    : public core::DriverInstance<AdeptModule, AdeptDriver> {
   public:
     AdeptWorkloadInstance(int version, const core::WorkloadConfig& config)
-        : built_(buildAdept(version, ScoringParams{}, kMaxThreads)),
-          driver_(makePairs(config), built_.scoring, version, kMaxThreads),
-          fitness_(driver_, config.device)
+        : DriverInstance(buildAdept(version, ScoringParams{}, kMaxThreads),
+                         config.device,
+                         [&](const AdeptModule& built) {
+                             return AdeptDriver(makePairs(config),
+                                                built.scoring, version,
+                                                kMaxThreads);
+                         })
     {
         // One block per alignment pair, and the unmodified kernels'
         // blocks touch only their own pair's bytes: every launch runs its
@@ -30,12 +35,6 @@ class AdeptWorkloadInstance : public core::WorkloadInstance {
         // (sim::LaunchDims::blockThreads).
         driver_.setBlockThreads(
             static_cast<std::uint32_t>(driver_.pairs().size()));
-    }
-
-    const ir::Module& module() const override { return built_.module; }
-    const core::FitnessFunction& fitness() const override
-    {
-        return fitness_;
     }
 
     std::string
@@ -81,10 +80,6 @@ class AdeptWorkloadInstance : public core::WorkloadInstance {
         appendBoundaryProbePairs(&pairs, cfg.maxLen, cfg.seed);
         return pairs;
     }
-
-    AdeptModule built_;
-    AdeptDriver driver_;
-    AdeptFitness fitness_;
 };
 
 core::Workload

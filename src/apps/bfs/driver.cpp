@@ -2,6 +2,7 @@
 
 #include "sim/device_memory.h"
 #include "sim/program.h"
+#include "support/strings.h"
 
 namespace gevo::bfs {
 
@@ -45,44 +46,32 @@ BfsDriver::run(const sim::ProgramSet& programs,
     const auto* initProg = programs.find("bfs_init");
     const auto* levelProg = programs.find("bfs_level");
     if (initProg == nullptr || levelProg == nullptr) {
-        out.fault.kind = sim::FaultKind::InvalidProgram;
-        out.fault.detail = "bfs_init/bfs_level missing from module";
+        out.fault = {sim::FaultKind::InvalidProgram,
+                     "bfs_init/bfs_level missing from module"};
         return out;
     }
 
     const auto blocks = static_cast<std::uint32_t>(
         config_.nodes / static_cast<std::int32_t>(config_.blockDim));
-    const sim::LaunchDims dims{blocks, config_.blockDim, oversubscribe_};
+    const sim::LaunchDims dims{blocks, config_.blockDim, kOversubscribe};
     auto u64 = [](sim::DevPtr p) { return static_cast<std::uint64_t>(p); };
 
-    {
-        const auto res = sim::launchKernel(
+    if (!out.add(sim::launchKernel(
             dev, mem, *initProg, dims,
             {u64(dist), static_cast<std::uint64_t>(config_.source)},
-            profile);
-        out.totalMs += res.stats.ms;
-        out.aggregate.accumulate(res.stats);
-        if (!res.ok()) {
-            out.fault = res.fault;
-            return out;
-        }
-    }
+            profile)))
+        return out;
 
     // Level-synchronous loop, capped at the node count (the longest
     // possible shortest path) so mutants cannot spin the host.
     for (std::int32_t level = 0; level < config_.nodes; ++level) {
         mem.write<std::int32_t>(changed, 0);
-        const auto res = sim::launchKernel(
-            dev, mem, *levelProg, dims,
-            {u64(rowPtr), u64(colIdx), u64(dist), u64(changed),
-             static_cast<std::uint64_t>(level)},
-            profile);
-        out.totalMs += res.stats.ms;
-        out.aggregate.accumulate(res.stats);
-        if (!res.ok()) {
-            out.fault = res.fault;
+        if (!out.add(sim::launchKernel(
+                dev, mem, *levelProg, dims,
+                {u64(rowPtr), u64(colIdx), u64(dist), u64(changed),
+                 static_cast<std::uint64_t>(level)},
+                profile)))
             return out;
-        }
         ++out.levels;
         if (mem.read<std::int32_t>(changed) == 0)
             break;
@@ -91,6 +80,24 @@ BfsDriver::run(const sim::ProgramSet& programs,
     out.dist.resize(static_cast<std::size_t>(config_.nodes));
     mem.copyOut(out.dist.data(), dist, distBytes);
     return out;
+}
+
+std::string
+BfsDriver::check(const BfsRunOutput& out) const
+{
+    for (std::size_t v = 0; v < expected_.size(); ++v) {
+        if (out.dist[v] != expected_[v])
+            return strformat("node %zu: got distance %d, want %d", v,
+                             out.dist[v], expected_[v]);
+    }
+    return {};
+}
+
+std::string
+BfsDriver::label(const sim::DeviceConfig& dev) const
+{
+    return strformat("bfs(%d nodes, degree %d, %s)", config_.nodes,
+                     config_.degree, dev.name.c_str());
 }
 
 } // namespace gevo::bfs

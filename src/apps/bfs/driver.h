@@ -13,22 +13,16 @@
 #include <vector>
 
 #include "apps/bfs/kernels.h"
-#include "core/fitness.h"
+#include "core/app.h"
 #include "sim/device_config.h"
 #include "sim/executor.h"
-#include "support/strings.h"
 
 namespace gevo::bfs {
 
 /// Output of a full traversal.
-struct BfsRunOutput {
-    sim::Fault fault;
+struct BfsRunOutput : core::RunOutput {
     std::vector<std::int32_t> dist; ///< Final distances (empty on fault).
     std::int32_t levels = 0;        ///< Frontier launches that ran.
-    double totalMs = 0.0;           ///< Simulated time across launches.
-    sim::LaunchStats aggregate;     ///< Counters summed over launches.
-
-    bool ok() const { return fault.ok(); }
 };
 
 /// Immutable graph + launch configuration; thread-safe (each run() owns
@@ -53,73 +47,23 @@ class BfsDriver {
     const CsrGraph& graph() const { return graph_; }
     const BfsConfig& config() const { return config_; }
 
-    /// Timing-grid multiplier (saturated-device regime).
-    void setOversubscribe(std::uint32_t f) { oversubscribe_ = f; }
+    /// Every node's distance must match the CPU BFS.
+    std::string check(const BfsRunOutput& out) const;
+    std::string label(const sim::DeviceConfig& dev) const;
 
   private:
+    /// Timing-grid multiplier (saturated-device regime).
+    static constexpr std::uint32_t kOversubscribe = 512;
+
     BfsConfig config_;
     bool tightArena_;
-    std::uint32_t oversubscribe_ = 512;
     CsrGraph graph_;
     std::vector<std::int32_t> expected_;
 };
 
 /// Scores a variant by total simulated kernel time; any fault or any
 /// distance mismatch against the CPU BFS invalidates it.
-class BfsFitness : public core::FitnessFunction {
-  public:
-    BfsFitness(const BfsDriver& driver, sim::DeviceConfig dev)
-        : driver_(driver), dev_(std::move(dev))
-    {
-    }
-
-    core::FitnessResult
-    evaluate(const core::CompiledVariant& variant) const override
-    {
-        return evaluateOn(variant, dev_);
-    }
-
-    core::FitnessResult
-    evaluateOn(const core::CompiledVariant& variant,
-               const sim::DeviceConfig& dev) const override
-    {
-        const auto out = driver_.run(variant.programs, dev);
-        if (!out.ok())
-            return core::FitnessResult::fail(out.fault.detail);
-        const auto& expected = driver_.expected();
-        for (std::size_t v = 0; v < expected.size(); ++v) {
-            if (out.dist[v] != expected[v])
-                return core::FitnessResult::fail(strformat(
-                    "node %zu: got distance %d, want %d", v, out.dist[v],
-                    expected[v]));
-        }
-        return core::FitnessResult::pass(out.totalMs, out.aggregate);
-    }
-
-    bool
-    profileVariant(const core::CompiledVariant& variant,
-                   core::ProfileSummary* out) const override
-    {
-        const auto run = driver_.run(variant.programs, dev_, /*profile=*/true);
-        if (!run.ok())
-            return false;
-        *out = core::ProfileSummary{};
-        out->accumulateLaunch(run.aggregate);
-        return true;
-    }
-
-    std::string
-    name() const override
-    {
-        return strformat("bfs(%d nodes, degree %d, %s)",
-                         driver_.config().nodes, driver_.config().degree,
-                         dev_.name.c_str());
-    }
-
-  private:
-    const BfsDriver& driver_;
-    sim::DeviceConfig dev_;
-};
+using BfsFitness = core::DriverFitness<BfsDriver>;
 
 } // namespace gevo::bfs
 

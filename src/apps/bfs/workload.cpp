@@ -5,26 +5,21 @@
 
 #include "apps/bfs/driver.h"
 #include "core/workload.h"
-#include "mutation/patch.h"
-#include "opt/passes.h"
 #include "support/strings.h"
 
 namespace gevo::bfs {
 
 namespace {
 
-class BfsWorkloadInstance : public core::WorkloadInstance {
+class BfsWorkloadInstance
+    : public core::DriverInstance<BfsModule, BfsDriver> {
   public:
     explicit BfsWorkloadInstance(const core::WorkloadConfig& config)
-        : built_(buildBfs(makeConfig(config))), driver_(built_.config),
-          fitness_(driver_, config.device), device_(config.device)
+        : DriverInstance(buildBfs(makeConfig(config)), config.device,
+                         [](const BfsModule& built) {
+                             return BfsDriver(built.config);
+                         })
     {
-    }
-
-    const ir::Module& module() const override { return built_.module; }
-    const core::FitnessFunction& fitness() const override
-    {
-        return fitness_;
     }
 
     std::string
@@ -52,21 +47,16 @@ class BfsWorkloadInstance : public core::WorkloadInstance {
 
     /// Held-out validation on a 4x graph with a tightly sized arena: a
     /// variant that traverses past its adjacency arrays passes the small
-    /// fitness graph (page slack) but faults here.
+    /// fitness graph (page slack) but faults here, and every distance
+    /// must still match the CPU BFS.
     std::string
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
         BfsConfig big = built_.config;
         big.nodes = built_.config.nodes * 4;
-        const auto bigBuilt = buildBfs(big);
-        const BfsDriver bigDriver(big, /*tightArena=*/true);
-        auto variant = mut::applyPatch(bigBuilt.module, edits);
-        opt::runCleanupPipeline(variant);
-        const auto heldOut = bigDriver.run(variant, device_);
-        if (!heldOut.ok())
-            return strformat("held-out %d-node check: %s", big.nodes,
-                             heldOut.fault.detail.c_str());
-        return {};
+        return heldOut(buildBfs(big).module,
+                       BfsDriver(big, /*tightArena=*/true), edits,
+                       strformat("%d-node", big.nodes));
     }
 
   private:
@@ -82,11 +72,6 @@ class BfsWorkloadInstance : public core::WorkloadInstance {
             static_cast<std::uint64_t>(config.knobInt("graph-seed", 11));
         return cfg;
     }
-
-    BfsModule built_;
-    BfsDriver driver_;
-    BfsFitness fitness_;
-    sim::DeviceConfig device_;
 };
 
 } // namespace

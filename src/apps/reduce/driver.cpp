@@ -2,6 +2,7 @@
 
 #include "sim/device_memory.h"
 #include "sim/program.h"
+#include "support/strings.h"
 
 namespace gevo::reduce {
 
@@ -42,15 +43,15 @@ ReduceDriver::run(const sim::ProgramSet& programs,
     const auto* partialProg = programs.find("rd_partial");
     const auto* finalProg = programs.find("rd_final");
     if (partialProg == nullptr || finalProg == nullptr) {
-        out.fault.kind = sim::FaultKind::InvalidProgram;
-        out.fault.detail = "rd_partial/rd_final missing from module";
+        out.fault = {sim::FaultKind::InvalidProgram,
+                     "rd_partial/rd_final missing from module"};
         return out;
     }
 
     const auto blocks = static_cast<std::uint32_t>(config_.numBlocks());
     const sim::LaunchDims partialDims{blocks, config_.blockDim,
-                                      oversubscribe_};
-    const sim::LaunchDims finalDims{1, config_.blockDim, oversubscribe_};
+                                      kOversubscribe};
+    const sim::LaunchDims finalDims{1, config_.blockDim, kOversubscribe};
 
     for (std::size_t d = 0; d < inputs_.size(); ++d) {
         mem.copyIn(in, inputs_[d].data(), inBytes);
@@ -63,17 +64,12 @@ ReduceDriver::run(const sim::ProgramSet& programs,
         for (const auto& [prog, dims, src, dst] :
              {std::tuple{partialProg, partialDims, in, partials},
               std::tuple{finalProg, finalDims, partials, result}}) {
-            const auto res = sim::launchKernel(
-                dev, mem, *prog, dims,
-                {static_cast<std::uint64_t>(src),
-                 static_cast<std::uint64_t>(dst)},
-                profile);
-            out.totalMs += res.stats.ms;
-            out.aggregate.accumulate(res.stats);
-            if (!res.ok()) {
-                out.fault = res.fault;
+            if (!out.add(sim::launchKernel(
+                    dev, mem, *prog, dims,
+                    {static_cast<std::uint64_t>(src),
+                     static_cast<std::uint64_t>(dst)},
+                    profile)))
                 return out;
-            }
         }
 
         auto& p = out.partials.emplace_back();
@@ -82,6 +78,28 @@ ReduceDriver::run(const sim::ProgramSet& programs,
         out.totals.push_back(mem.read<std::uint32_t>(result));
     }
     return out;
+}
+
+std::string
+ReduceDriver::check(const ReduceRunOutput& out) const
+{
+    for (std::size_t d = 0; d < out.totals.size(); ++d) {
+        if (out.partials[d] != expectedPartials_[d])
+            return strformat("dataset %zu: partial sums diverge from the "
+                             "CPU reference",
+                             d);
+        if (out.totals[d] != expectedTotals_[d])
+            return strformat("dataset %zu: got total %u, want %u", d,
+                             out.totals[d], expectedTotals_[d]);
+    }
+    return {};
+}
+
+std::string
+ReduceDriver::label(const sim::DeviceConfig& dev) const
+{
+    return strformat("reduce(%d elems x %d inputs, %s)", config_.elems,
+                     config_.inputs, dev.name.c_str());
 }
 
 } // namespace gevo::reduce

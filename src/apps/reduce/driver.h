@@ -10,23 +10,17 @@
 #include <vector>
 
 #include "apps/reduce/kernels.h"
-#include "core/fitness.h"
+#include "core/app.h"
 #include "sim/device_config.h"
 #include "sim/executor.h"
-#include "support/strings.h"
 
 namespace gevo::reduce {
 
 /// Output of one full run (all datasets).
-struct ReduceRunOutput {
-    sim::Fault fault;
+struct ReduceRunOutput : core::RunOutput {
     /// Per-dataset per-block partial sums (as `rd_partial` left them).
     std::vector<std::vector<std::uint32_t>> partials;
     std::vector<std::uint32_t> totals; ///< Per-dataset final sums.
-    double totalMs = 0.0;              ///< Simulated time, all launches.
-    sim::LaunchStats aggregate;        ///< Counters summed over launches.
-
-    bool ok() const { return fault.ok(); }
 };
 
 /// Immutable datasets + launch configuration; thread-safe (each run()
@@ -57,79 +51,24 @@ class ReduceDriver {
     }
     const ReduceConfig& config() const { return config_; }
 
-    /// Timing-grid multiplier (saturated-device regime).
-    void setOversubscribe(std::uint32_t f) { oversubscribe_ = f; }
+    /// Integer sums: every partial and every total must match exactly.
+    std::string check(const ReduceRunOutput& out) const;
+    std::string label(const sim::DeviceConfig& dev) const;
 
   private:
+    /// Timing-grid multiplier (saturated-device regime).
+    static constexpr std::uint32_t kOversubscribe = 512;
+
     ReduceConfig config_;
     bool tightArena_;
-    std::uint32_t oversubscribe_ = 512;
     std::vector<std::vector<std::uint32_t>> inputs_;
     std::vector<std::vector<std::uint32_t>> expectedPartials_;
     std::vector<std::uint32_t> expectedTotals_;
 };
 
 /// Scores a variant by total simulated kernel time; any fault, any wrong
-/// partial sum, or any wrong total invalidates it (integer sums — exact
-/// equality, no tolerance).
-class ReduceFitness : public core::FitnessFunction {
-  public:
-    ReduceFitness(const ReduceDriver& driver, sim::DeviceConfig dev)
-        : driver_(driver), dev_(std::move(dev))
-    {
-    }
-
-    core::FitnessResult
-    evaluate(const core::CompiledVariant& variant) const override
-    {
-        return evaluateOn(variant, dev_);
-    }
-
-    core::FitnessResult
-    evaluateOn(const core::CompiledVariant& variant,
-               const sim::DeviceConfig& dev) const override
-    {
-        const auto out = driver_.run(variant.programs, dev);
-        if (!out.ok())
-            return core::FitnessResult::fail(out.fault.detail);
-        for (std::size_t d = 0; d < out.totals.size(); ++d) {
-            if (out.partials[d] != driver_.expectedPartials()[d])
-                return core::FitnessResult::fail(strformat(
-                    "dataset %zu: partial sums diverge from the CPU "
-                    "reference",
-                    d));
-            if (out.totals[d] != driver_.expectedTotals()[d])
-                return core::FitnessResult::fail(strformat(
-                    "dataset %zu: got total %u, want %u", d,
-                    out.totals[d], driver_.expectedTotals()[d]));
-        }
-        return core::FitnessResult::pass(out.totalMs, out.aggregate);
-    }
-
-    bool
-    profileVariant(const core::CompiledVariant& variant,
-                   core::ProfileSummary* out) const override
-    {
-        const auto run = driver_.run(variant.programs, dev_, /*profile=*/true);
-        if (!run.ok())
-            return false;
-        *out = core::ProfileSummary{};
-        out->accumulateLaunch(run.aggregate);
-        return true;
-    }
-
-    std::string
-    name() const override
-    {
-        return strformat("reduce(%d elems x %d inputs, %s)",
-                         driver_.config().elems, driver_.config().inputs,
-                         dev_.name.c_str());
-    }
-
-  private:
-    const ReduceDriver& driver_;
-    sim::DeviceConfig dev_;
-};
+/// partial sum or any wrong total invalidates it.
+using ReduceFitness = core::DriverFitness<ReduceDriver>;
 
 } // namespace gevo::reduce
 

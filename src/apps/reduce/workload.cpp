@@ -5,26 +5,21 @@
 
 #include "apps/reduce/driver.h"
 #include "core/workload.h"
-#include "mutation/patch.h"
-#include "opt/passes.h"
 #include "support/strings.h"
 
 namespace gevo::reduce {
 
 namespace {
 
-class ReduceWorkloadInstance : public core::WorkloadInstance {
+class ReduceWorkloadInstance
+    : public core::DriverInstance<ReduceModule, ReduceDriver> {
   public:
     explicit ReduceWorkloadInstance(const core::WorkloadConfig& config)
-        : built_(buildReduce(makeConfig(config))), driver_(built_.config),
-          fitness_(driver_, config.device), device_(config.device)
+        : DriverInstance(buildReduce(makeConfig(config)), config.device,
+                         [](const ReduceModule& built) {
+                             return ReduceDriver(built.config);
+                         })
     {
-    }
-
-    const ir::Module& module() const override { return built_.module; }
-    const core::FitnessFunction& fitness() const override
-    {
-        return fitness_;
     }
 
     std::string
@@ -42,7 +37,8 @@ class ReduceWorkloadInstance : public core::WorkloadInstance {
         return editsOf(allGoldenEdits(built_));
     }
 
-    /// Held-out validation at a larger input with a tightly sized arena.
+    /// Held-out validation at a larger input with a tightly sized arena:
+    /// no fault, and every partial and total exact.
     std::string
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
@@ -52,15 +48,9 @@ class ReduceWorkloadInstance : public core::WorkloadInstance {
         ReduceConfig big = built_.config;
         big.elems = std::min(built_.config.elems * 2, 16384);
         big.inputs = 1;
-        const auto bigBuilt = buildReduce(big);
-        const ReduceDriver bigDriver(big, /*tightArena=*/true);
-        auto variant = mut::applyPatch(bigBuilt.module, edits);
-        opt::runCleanupPipeline(variant);
-        const auto heldOut = bigDriver.run(variant, device_);
-        if (!heldOut.ok())
-            return strformat("held-out %d-element check: %s", big.elems,
-                             heldOut.fault.detail.c_str());
-        return {};
+        return heldOut(buildReduce(big).module,
+                       ReduceDriver(big, /*tightArena=*/true), edits,
+                       strformat("%d-element", big.elems));
     }
 
   private:
@@ -76,11 +66,6 @@ class ReduceWorkloadInstance : public core::WorkloadInstance {
             static_cast<std::uint64_t>(config.knobInt("data-seed", 21));
         return cfg;
     }
-
-    ReduceModule built_;
-    ReduceDriver driver_;
-    ReduceFitness fitness_;
-    sim::DeviceConfig device_;
 };
 
 } // namespace

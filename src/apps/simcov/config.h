@@ -71,6 +71,9 @@ struct SeriesTolerance {
     double absFloor = 0.5; ///< Absolute slack for near-zero values.
 };
 
+/// The tolerance every SIMCoV fitness and held-out check applies.
+inline constexpr SeriesTolerance kSeriesTolerance{};
+
 /// Compare a variant series against the reference. Returns an empty
 /// string when within tolerance, else a diagnostic.
 std::string compareSeries(const TimeSeries& ref, const TimeSeries& got,

@@ -6,6 +6,7 @@
 #include "sim/device_memory.h"
 #include "sim/program.h"
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace gevo::simcov {
 
@@ -55,7 +56,7 @@ SimcovDriver::run(const sim::ProgramSet& programs,
 
     const auto blocks = static_cast<std::uint32_t>(
         config_.cells() / static_cast<std::int32_t>(config_.blockDim));
-    const sim::LaunchDims dims{blocks, config_.blockDim, oversubscribe_};
+    const sim::LaunchDims dims{blocks, config_.blockDim, kOversubscribe};
 
     // Look up all pre-decoded kernels up front.
     std::vector<const sim::Program*> kernels;
@@ -64,33 +65,24 @@ SimcovDriver::run(const sim::ProgramSet& programs,
           "sc_tmove", "sc_tbind", "sc_stats"}) {
         const auto* prog = programs.find(name);
         if (prog == nullptr) {
-            out.fault.kind = sim::FaultKind::InvalidProgram;
-            out.fault.detail = std::string(name) + " missing from module";
+            out.fault = {sim::FaultKind::InvalidProgram,
+                         std::string(name) + " missing from module"};
             return out;
         }
         kernels.push_back(prog);
     }
     auto launch = [&](std::size_t idx,
                       const std::vector<std::uint64_t>& args) {
-        const auto res = sim::launchKernel(dev, mem, *kernels[idx],
-                                           dims, args, profile);
-        out.totalMs += res.stats.ms;
-        out.aggregate.accumulate(res.stats);
-        return res;
+        return out.add(sim::launchKernel(dev, mem, *kernels[idx], dims,
+                                         args, profile));
     };
     auto u64 = [](sim::DevPtr p) { return static_cast<std::uint64_t>(p); };
 
     // Setup.
-    {
-        const auto res = launch(
-            0, {u64(epistate), u64(timer), u64(virions), u64(virionsNext),
-                u64(chemokine), u64(chemNext), u64(tcell), u64(tcellNext),
-                u64(rng), config_.seed});
-        if (!res.ok()) {
-            out.fault = res.fault;
-            return out;
-        }
-    }
+    if (!launch(0, {u64(epistate), u64(timer), u64(virions),
+                    u64(virionsNext), u64(chemokine), u64(chemNext),
+                    u64(tcell), u64(tcellNext), u64(rng), config_.seed}))
+        return out;
 
     sim::DevPtr vCur = virions;
     sim::DevPtr vNext = virionsNext;
@@ -116,11 +108,8 @@ SimcovDriver::run(const sim::ProgramSet& programs,
              u64(stats)},                                       // stats
         }};
         for (std::size_t k = 0; k < argSets.size(); ++k) {
-            const auto res = launch(k + 1, argSets[k]);
-            if (!res.ok()) {
-                out.fault = res.fault;
+            if (!launch(k + 1, argSets[k]))
                 return out;
-            }
         }
 
         StepStats s;
@@ -136,6 +125,19 @@ SimcovDriver::run(const sim::ProgramSet& programs,
         std::swap(tCur, tNext);
     }
     return out;
+}
+
+std::string
+SimcovDriver::check(const SimcovRunOutput& out) const
+{
+    return compareSeries(expected_, out.series, kSeriesTolerance);
+}
+
+std::string
+SimcovDriver::label(const sim::DeviceConfig& dev) const
+{
+    return strformat("simcov(%dx%d, %s)", config_.gridW, config_.gridW,
+                     dev.name.c_str());
 }
 
 } // namespace gevo::simcov

@@ -15,19 +15,15 @@
 
 #include "apps/simcov/config.h"
 #include "apps/simcov/kernels.h"
+#include "core/app.h"
 #include "sim/device_config.h"
 #include "sim/executor.h"
 
 namespace gevo::simcov {
 
 /// Output of a full simulation run.
-struct SimcovRunOutput {
-    sim::Fault fault;
+struct SimcovRunOutput : core::RunOutput {
     TimeSeries series;
-    double totalMs = 0.0;           ///< Simulated time across all kernels.
-    sim::LaunchStats aggregate;     ///< Issue/instr counters summed.
-
-    bool ok() const { return fault.ok(); }
 };
 
 /// Immutable run configuration; thread-safe (each run() owns its memory).
@@ -57,17 +53,24 @@ class SimcovDriver {
     const SimcovConfig& config() const { return config_; }
     bool padded() const { return padded_; }
 
-    /// Timing-grid multiplier (saturated-device regime; the paper's
-    /// production grids are 2500x2500).
-    void setOversubscribe(std::uint32_t f) { oversubscribe_ = f; }
+    /// The series must stay within kSeriesTolerance of the ground truth.
+    std::string check(const SimcovRunOutput& out) const;
+    std::string label(const sim::DeviceConfig& dev) const;
 
   private:
+    /// Timing-grid multiplier (saturated-device regime; the paper's
+    /// production grids are 2500x2500).
+    static constexpr std::uint32_t kOversubscribe = 512;
+
     SimcovConfig config_;
     bool padded_;
     bool tightArena_;
-    std::uint32_t oversubscribe_ = 512;
     TimeSeries expected_;
 };
+
+/// Scores a module variant by total simulated kernel time; any fault or
+/// out-of-tolerance series invalidates it.
+using SimcovFitness = core::DriverFitness<SimcovDriver>;
 
 } // namespace gevo::simcov
 

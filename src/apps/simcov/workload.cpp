@@ -3,29 +3,23 @@
 #include <memory>
 
 #include "apps/simcov/driver.h"
-#include "apps/simcov/fitness.h"
 #include "apps/simcov/golden_edits.h"
 #include "core/workload.h"
-#include "mutation/patch.h"
-#include "opt/passes.h"
 #include "support/strings.h"
 
 namespace gevo::simcov {
 
 namespace {
 
-class SimcovWorkloadInstance : public core::WorkloadInstance {
+class SimcovWorkloadInstance
+    : public core::DriverInstance<SimcovModule, SimcovDriver> {
   public:
     explicit SimcovWorkloadInstance(const core::WorkloadConfig& config)
-        : built_(buildSimcov(makeConfig(config))), driver_(built_.config),
-          fitness_(driver_, config.device), device_(config.device)
+        : DriverInstance(buildSimcov(makeConfig(config)), config.device,
+                         [](const SimcovModule& built) {
+                             return SimcovDriver(built.config);
+                         })
     {
-    }
-
-    const ir::Module& module() const override { return built_.module; }
-    const core::FitnessFunction& fitness() const override
-    {
-        return fitness_;
     }
 
     std::string
@@ -61,15 +55,9 @@ class SimcovWorkloadInstance : public core::WorkloadInstance {
         SimcovConfig big = built_.config;
         big.gridW = 96;
         big.steps = 2;
-        const auto bigBuilt = buildSimcov(big);
-        const SimcovDriver bigDriver(big, false, /*tightArena=*/true);
-        auto variant = mut::applyPatch(bigBuilt.module, edits);
-        opt::runCleanupPipeline(variant);
-        const auto heldOut = bigDriver.run(variant, device_);
-        if (!heldOut.ok())
-            return strformat("held-out %dx%d check: %s", big.gridW,
-                             big.gridW, heldOut.fault.detail.c_str());
-        return {};
+        return heldOut(buildSimcov(big).module,
+                       SimcovDriver(big, false, /*tightArena=*/true), edits,
+                       strformat("%dx%d", big.gridW, big.gridW));
     }
 
   private:
@@ -83,11 +71,6 @@ class SimcovWorkloadInstance : public core::WorkloadInstance {
             static_cast<std::uint64_t>(config.knobInt("sim-seed", 1337));
         return cfg;
     }
-
-    SimcovModule built_;
-    SimcovDriver driver_;
-    SimcovFitness fitness_;
-    sim::DeviceConfig device_;
 };
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "sim/device_memory.h"
 #include "sim/program.h"
+#include "support/strings.h"
 
 namespace gevo::stencil {
 
@@ -37,34 +38,51 @@ StencilDriver::run(const sim::ProgramSet& programs,
 
     const auto* prog = programs.find("st_jacobi");
     if (prog == nullptr) {
-        out.fault.kind = sim::FaultKind::InvalidProgram;
-        out.fault.detail = "st_jacobi missing from module";
+        out.fault = {sim::FaultKind::InvalidProgram,
+                     "st_jacobi missing from module"};
         return out;
     }
     const auto blocks = static_cast<std::uint32_t>(
         config_.cells() / static_cast<std::int32_t>(config_.blockDim));
-    const sim::LaunchDims dims{blocks, config_.blockDim, oversubscribe_};
+    const sim::LaunchDims dims{blocks, config_.blockDim, kOversubscribe};
 
     sim::DevPtr src = bufA;
     sim::DevPtr dst = bufB;
     for (std::int32_t step = 0; step < config_.steps; ++step) {
-        const auto res = sim::launchKernel(
-            dev, mem, *prog, dims,
-            {static_cast<std::uint64_t>(src),
-             static_cast<std::uint64_t>(dst)},
-            profile);
-        out.totalMs += res.stats.ms;
-        out.aggregate.accumulate(res.stats);
-        if (!res.ok()) {
-            out.fault = res.fault;
+        if (!out.add(sim::launchKernel(dev, mem, *prog, dims,
+                                       {static_cast<std::uint64_t>(src),
+                                        static_cast<std::uint64_t>(dst)},
+                                       profile)))
             return out;
-        }
         std::swap(src, dst);
     }
 
     out.grid.resize(static_cast<std::size_t>(config_.cells()));
     mem.copyOut(out.grid.data(), src, gridBytes);
     return out;
+}
+
+std::string
+StencilDriver::check(const StencilRunOutput& out) const
+{
+    for (std::size_t i = 0; i < expected_.size(); ++i) {
+        if (out.grid[i] != expected_[i]) {
+            const auto W = config_.gridW;
+            return strformat("cell (%d,%d): got %.9g, want %.9g",
+                             static_cast<int>(i) % W,
+                             static_cast<int>(i) / W,
+                             static_cast<double>(out.grid[i]),
+                             static_cast<double>(expected_[i]));
+        }
+    }
+    return {};
+}
+
+std::string
+StencilDriver::label(const sim::DeviceConfig& dev) const
+{
+    return strformat("stencil(%dx%d, %d steps, %s)", config_.gridW,
+                     config_.gridW, config_.steps, dev.name.c_str());
 }
 
 } // namespace gevo::stencil

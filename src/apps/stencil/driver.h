@@ -12,21 +12,15 @@
 #include <vector>
 
 #include "apps/stencil/kernels.h"
-#include "core/fitness.h"
+#include "core/app.h"
 #include "sim/device_config.h"
 #include "sim/executor.h"
-#include "support/strings.h"
 
 namespace gevo::stencil {
 
 /// Output of a full multi-step run.
-struct StencilRunOutput {
-    sim::Fault fault;
-    std::vector<float> grid;    ///< Final grid (empty on fault).
-    double totalMs = 0.0;       ///< Simulated time across all steps.
-    sim::LaunchStats aggregate; ///< Counters summed over launches.
-
-    bool ok() const { return fault.ok(); }
+struct StencilRunOutput : core::RunOutput {
+    std::vector<float> grid; ///< Final grid (empty on fault).
 };
 
 /// Immutable run configuration; thread-safe (each run() owns its memory).
@@ -49,78 +43,24 @@ class StencilDriver {
     const std::vector<float>& expected() const { return expected_; }
     const StencilConfig& config() const { return config_; }
 
-    /// Timing-grid multiplier (saturated-device regime).
-    void setOversubscribe(std::uint32_t f) { oversubscribe_ = f; }
+    /// Every final-grid cell must match bit for bit.
+    std::string check(const StencilRunOutput& out) const;
+    std::string label(const sim::DeviceConfig& dev) const;
 
   private:
+    /// Timing-grid multiplier (saturated-device regime).
+    static constexpr std::uint32_t kOversubscribe = 512;
+
     StencilConfig config_;
     bool tightArena_;
-    std::uint32_t oversubscribe_ = 512;
     std::vector<float> initial_;
     std::vector<float> expected_;
 };
 
 /// Scores a variant by total simulated kernel time; any fault or any
-/// final-grid value mismatch (bit-exact — the kernel's float order is
-/// replicated by the CPU reference) invalidates it.
-class StencilFitness : public core::FitnessFunction {
-  public:
-    StencilFitness(const StencilDriver& driver, sim::DeviceConfig dev)
-        : driver_(driver), dev_(std::move(dev))
-    {
-    }
-
-    core::FitnessResult
-    evaluate(const core::CompiledVariant& variant) const override
-    {
-        return evaluateOn(variant, dev_);
-    }
-
-    core::FitnessResult
-    evaluateOn(const core::CompiledVariant& variant,
-               const sim::DeviceConfig& dev) const override
-    {
-        const auto out = driver_.run(variant.programs, dev);
-        if (!out.ok())
-            return core::FitnessResult::fail(out.fault.detail);
-        const auto& expected = driver_.expected();
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-            if (out.grid[i] != expected[i]) {
-                const auto W = driver_.config().gridW;
-                return core::FitnessResult::fail(strformat(
-                    "cell (%d,%d): got %.9g, want %.9g",
-                    static_cast<int>(i) % W, static_cast<int>(i) / W,
-                    static_cast<double>(out.grid[i]),
-                    static_cast<double>(expected[i])));
-            }
-        }
-        return core::FitnessResult::pass(out.totalMs, out.aggregate);
-    }
-
-    bool
-    profileVariant(const core::CompiledVariant& variant,
-                   core::ProfileSummary* out) const override
-    {
-        const auto run = driver_.run(variant.programs, dev_, /*profile=*/true);
-        if (!run.ok())
-            return false;
-        *out = core::ProfileSummary{};
-        out->accumulateLaunch(run.aggregate);
-        return true;
-    }
-
-    std::string
-    name() const override
-    {
-        return strformat("stencil(%dx%d, %d steps, %s)",
-                         driver_.config().gridW, driver_.config().gridW,
-                         driver_.config().steps, dev_.name.c_str());
-    }
-
-  private:
-    const StencilDriver& driver_;
-    sim::DeviceConfig dev_;
-};
+/// final-grid value mismatch (bit-exact: the CPU reference replicates the
+/// kernel's float order) invalidates it.
+using StencilFitness = core::DriverFitness<StencilDriver>;
 
 } // namespace gevo::stencil
 

@@ -4,26 +4,21 @@
 
 #include "apps/stencil/driver.h"
 #include "core/workload.h"
-#include "mutation/patch.h"
-#include "opt/passes.h"
 #include "support/strings.h"
 
 namespace gevo::stencil {
 
 namespace {
 
-class StencilWorkloadInstance : public core::WorkloadInstance {
+class StencilWorkloadInstance
+    : public core::DriverInstance<StencilModule, StencilDriver> {
   public:
     explicit StencilWorkloadInstance(const core::WorkloadConfig& config)
-        : built_(buildStencil(makeConfig(config))), driver_(built_.config),
-          fitness_(driver_, config.device), device_(config.device)
+        : DriverInstance(buildStencil(makeConfig(config)), config.device,
+                         [](const StencilModule& built) {
+                             return StencilDriver(built.config);
+                         })
     {
-    }
-
-    const ir::Module& module() const override { return built_.module; }
-    const core::FitnessFunction& fitness() const override
-    {
-        return fitness_;
     }
 
     std::string
@@ -43,7 +38,8 @@ class StencilWorkloadInstance : public core::WorkloadInstance {
 
     /// Held-out validation on a larger grid with a tightly sized arena:
     /// a variant whose speedup comes from dropping a load out of bounds
-    /// passes the small fitness grid (page slack) but faults here.
+    /// passes the small fitness grid (page slack) but faults here, and
+    /// every cell must still match the CPU reference.
     std::string
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
@@ -52,15 +48,9 @@ class StencilWorkloadInstance : public core::WorkloadInstance {
         StencilConfig big = built_.config;
         big.gridW = built_.config.gridW * 2;
         big.steps = 2;
-        const auto bigBuilt = buildStencil(big);
-        const StencilDriver bigDriver(big, /*tightArena=*/true);
-        auto variant = mut::applyPatch(bigBuilt.module, edits);
-        opt::runCleanupPipeline(variant);
-        const auto heldOut = bigDriver.run(variant, device_);
-        if (!heldOut.ok())
-            return strformat("held-out %dx%d check: %s", big.gridW,
-                             big.gridW, heldOut.fault.detail.c_str());
-        return {};
+        return heldOut(buildStencil(big).module,
+                       StencilDriver(big, /*tightArena=*/true), edits,
+                       strformat("%dx%d", big.gridW, big.gridW));
     }
 
   private:
@@ -72,11 +62,6 @@ class StencilWorkloadInstance : public core::WorkloadInstance {
         cfg.steps = static_cast<std::int32_t>(config.knobInt("steps", 4));
         return cfg;
     }
-
-    StencilModule built_;
-    StencilDriver driver_;
-    StencilFitness fitness_;
-    sim::DeviceConfig device_;
 };
 
 } // namespace

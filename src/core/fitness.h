@@ -3,9 +3,11 @@
 ///
 /// Paper Sec III-E: "Kernel execution time is the fitness target, averaged
 /// across all test cases. Individuals that fail one or more test cases are
-/// not part of the calculation." Applications implement FitnessFunction
-/// (ADEPT: exact score/position match; SIMCoV: per-value mean/variance
-/// tolerance against the fixed-seed ground truth).
+/// not part of the calculation." Every application's FitnessFunction is
+/// core::DriverFitness over its app driver (core/app.h); the app's own
+/// check() member decides correctness (ADEPT: exact score/position match; SIMCoV:
+/// per-value mean/variance tolerance against the fixed-seed ground
+/// truth).
 ///
 /// Evaluation is an explicit two-stage pipeline:
 ///
@@ -231,10 +233,12 @@ class FitnessFunction {
 
     /// Re-run one evaluation with per-loc profiling enabled and fill
     /// \p out. Returns false when the workload does not support profiling
-    /// (the default) or the variant fails its tests — the caller keeps
-    /// whatever profile it had. This is the deliberately separate "cheap
-    /// path": the engine profiles only the per-island elite once per
-    /// generation, so bulk evaluate() never pays for histogram upkeep.
+    /// (the default) or the profiled run faults — the caller keeps
+    /// whatever profile it had. The profiled run's outputs are not
+    /// checked: a variant that runs fault-free but computes the wrong
+    /// answer still yields a profile. This is the deliberately separate
+    /// "cheap path": the engine profiles only the per-island elite once
+    /// per generation, so bulk evaluate() never pays for histogram upkeep.
     virtual bool profileVariant(const CompiledVariant& variant,
                                 ProfileSummary* out) const
     {

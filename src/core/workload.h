@@ -77,8 +77,8 @@ class WorkloadInstance {
     virtual double paperCeiling() const { return 0.0; }
 
     /// Held-out validation of a search's best edit list (e.g. SIMCoV's
-    /// memory-tight large grid). Returns an empty string when the variant
-    /// passes, else a diagnostic.
+    /// memory-tight large grid; see DriverInstance::heldOut). Returns an
+    /// empty string when the variant passes, else a diagnostic.
     virtual std::string
     validateBest(const std::vector<mut::Edit>& edits) const
     {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/adept/driver.h"
-#include "apps/adept/fitness.h"
 #include "core/fitness.h"
 
 namespace gevo::adept {

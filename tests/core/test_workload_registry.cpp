@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
 
 #include "apps/registry.h"
@@ -160,6 +161,61 @@ TEST_F(WorkloadRegistryTest, EveryWorkloadEvolvesTwoTinyGenerations)
                 EXPECT_EQ(instance->validateBest(golden), "") << name;
             }
         }
+    }
+}
+
+/// The app contract's observable outputs at default knobs, recorded
+/// before the per-app fitness classes were folded into one template:
+/// the fitness name (the cache, checkpoint and farm scopes key on it),
+/// the unedited module's objective vector bit for bit, and the profiled
+/// warp-instruction count (for ADEPT-V1 that is the forward plus reverse
+/// launch, so this also guards how the two launches are merged).
+TEST_F(WorkloadRegistryTest, ContractOutputsArePinnedAtDefaultKnobs)
+{
+    struct Pin {
+        const char* workload;
+        const char* name;
+        const char* objectives;
+        std::uint64_t warpInstrs;
+    };
+    const Pin pins[] = {
+        {"adept-v0", "adept(7 pairs, P100)",
+         "[0x1.6d4c70c573cep+4 0x1.8fcp+10 0x1.cfp+9]", 575940},
+        {"adept-v1", "adept(7 pairs, P100)",
+         "[0x1.3820458204582p+1 0x1.87p+11 0x1.854p+12]", 239776},
+        {"simcov", "simcov(32x32, P100)",
+         "[0x1.0ca2203df140dp+2 0x1.01f9p+16 0x1.936p+12]", 636420},
+        {"stencil", "stencil(32x32, 4 steps, P100)",
+         "[0x1.d01859f554dc5p-4 0x1.26p+11 0x1.fp+7]", 11976},
+        {"reduce", "reduce(8192 elems x 2 inputs, P100)",
+         "[0x1.c31c13f73d974p-4 0x1.144p+11 0x1.04p+7]", 12740},
+        {"bfs", "bfs(256 nodes, degree 8, P100)",
+         "[0x1.44caeea954b5p-3 0x1.16ep+12 0x1.ap+6]", 5886},
+    };
+    auto& registry = WorkloadRegistry::instance();
+    ASSERT_EQ(registry.size(), std::size(pins));
+    for (const auto& pin : pins) {
+        const auto instance = registry.get(pin.workload).make({});
+        const auto& fitness = instance->fitness();
+        EXPECT_EQ(fitness.name(), pin.name) << pin.workload;
+
+        const auto cv = compileVariant(instance->module(), {});
+        ASSERT_TRUE(cv.ok) << pin.workload;
+        const auto baseline = fitness.evaluate(cv);
+        ASSERT_TRUE(baseline.valid) << pin.workload;
+        std::string objectives = "[";
+        for (const double v : baseline.objectives) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf, "%s%a",
+                          objectives.size() > 1 ? " " : "", v);
+            objectives += buf;
+        }
+        objectives += "]";
+        EXPECT_EQ(objectives, pin.objectives) << pin.workload;
+
+        ProfileSummary profile;
+        ASSERT_TRUE(fitness.profileVariant(cv, &profile)) << pin.workload;
+        EXPECT_EQ(profile.warpInstrs, pin.warpInstrs) << pin.workload;
     }
 }
 

@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/adept/driver.h"
-#include "apps/adept/fitness.h"
 #include "apps/simcov/driver.h"
-#include "apps/simcov/fitness.h"
 #include "core/fitness.h"
 #include "mutation/patch.h"
 #include "mutation/sampler.h"

@@ -6,7 +6,9 @@
 
 #include "apps/reduce/driver.h"
 #include "apps/reduce/kernels.h"
+#include "apps/registry.h"
 #include "core/fitness.h"
+#include "core/workload.h"
 #include "ir/verifier.h"
 #include "sim/device_config.h"
 
@@ -107,6 +109,30 @@ TEST(ReduceGolden, WrongRerouteIsInvalid)
     e.newOperand = ir::Operand::reg(1);
     const auto r = core::evaluateVariant(built.module, {e}, fitness);
     EXPECT_FALSE(r.valid);
+}
+
+/// Held-out validation must compare outputs, not only look for a fault.
+/// At the default knobs this operand reroute is exact on the two 8192-
+/// element fitness datasets but sums the wrong values at 16384 elements
+/// without faulting; a check that only watches for faults passes it.
+TEST(ReduceHeldOut, WrongTotalAtHeldOutScaleIsRejected)
+{
+    apps::registerBuiltinWorkloads();
+    const auto instance =
+        core::WorkloadRegistry::instance().get("reduce").make({});
+    mut::Edit e;
+    e.kind = mut::EditKind::OperandReplace;
+    e.srcUid = 93;
+    e.opIndex = 0;
+    e.newOperand = ir::Operand::reg(36);
+    ASSERT_EQ(e.toString(), "oprepl(#93.0 <- r36)");
+
+    const auto fit =
+        core::evaluateVariant(instance->module(), {e}, instance->fitness());
+    ASSERT_TRUE(fit.valid) << fit.failReason;
+    const auto diag = instance->validateBest({e});
+    EXPECT_NE(diag, "");
+    EXPECT_NE(diag.find("got total"), std::string::npos) << diag;
 }
 
 TEST(ReduceSim, TraceAndReferenceInterpretersAgree)

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "apps/adept/driver.h"
-#include "apps/adept/fitness.h"
 #include "apps/adept/kernels.h"
 #include "apps/simcov/config.h"
 #include "apps/simcov/driver.h"

@@ -2,7 +2,6 @@
 
 #include "apps/simcov/cpu_model.h"
 #include "apps/simcov/driver.h"
-#include "apps/simcov/fitness.h"
 #include "apps/simcov/golden_edits.h"
 #include "core/fitness.h"
 #include "ir/verifier.h"
