@@ -399,7 +399,9 @@ main(int argc, char** argv)
 
     const auto heldOut = instance->validateBest(result.best.edits);
     std::printf("\nheld-out validation: %s\n",
-                heldOut.empty() ? "passes" : heldOut.c_str());
+                !heldOut           ? "none for this workload"
+                : heldOut->empty() ? "passes"
+                                   : heldOut->c_str());
 
     const auto golden = instance->goldenEdits();
     if (!golden.empty()) {

@@ -49,7 +49,7 @@ class BfsWorkloadInstance
     /// variant that traverses past its adjacency arrays passes the small
     /// fitness graph (page slack) but faults here, and every distance
     /// must still match the CPU BFS.
-    std::string
+    std::optional<std::string>
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
         BfsConfig big = built_.config;

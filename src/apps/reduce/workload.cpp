@@ -39,7 +39,7 @@ class ReduceWorkloadInstance
 
     /// Held-out validation at a larger input with a tightly sized arena:
     /// no fault, and every partial and total exact.
-    std::string
+    std::optional<std::string>
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
         // Double the configured input (the kernel structure caps the

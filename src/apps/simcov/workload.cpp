@@ -49,7 +49,7 @@ class SimcovWorkloadInstance
     /// Held-out validation on a larger, memory-tight grid — the paper's
     /// Sec VI-D defence against variants (dropped boundary checks) that
     /// only look correct at fitness scale.
-    std::string
+    std::optional<std::string>
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
         SimcovConfig big = built_.config;

@@ -40,7 +40,7 @@ class StencilWorkloadInstance
     /// a variant whose speedup comes from dropping a load out of bounds
     /// passes the small fitness grid (page slack) but faults here, and
     /// every cell must still match the CPU reference.
-    std::string
+    std::optional<std::string>
     validateBest(const std::vector<mut::Edit>& edits) const override
     {
         // Scale relative to the configured fitness grid so the check is

@@ -95,8 +95,7 @@ class DriverFitness : public FitnessFunction {
             driver_.run(variant.programs, dev_, /*profile=*/true);
         if (!run.ok())
             return false;
-        *out = ProfileSummary{};
-        out->accumulateLaunch(run.aggregate);
+        *out = run.aggregate;
         return true;
     }
 

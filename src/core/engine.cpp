@@ -48,11 +48,11 @@ countFailure(GenerationLog* log, EvalFailure failure)
     }
 }
 
-/// Checkpoint scope fingerprint: the cache-scope inputs (compiled
-/// baseline content + fitness name) plus every trajectory-relevant
-/// parameter. Doubles are rendered with %a so the fingerprint is exact.
-/// Trajectory-neutral knobs (threads, cache settings, backend, the
-/// generation budget) are excluded on purpose — see core/checkpoint.h.
+/// Checkpoint scope fingerprint: the cache scope's inputs plus every
+/// trajectory-relevant parameter. Doubles are rendered with %a so the
+/// fingerprint is exact. Trajectory-neutral knobs (threads, cache
+/// settings, backend, the generation budget) are excluded on purpose —
+/// see core/checkpoint.h.
 std::uint64_t
 checkpointScopeOf(const CompiledVariant& baselineCv,
                   const FitnessFunction& fitness,
@@ -73,12 +73,7 @@ checkpointScopeOf(const CompiledVariant& baselineCv,
         p.fitnessAwareMigrants ? 1u : 0u,
         static_cast<unsigned>(p.selection),
         objectiveListName(p.objectives).c_str());
-    std::uint64_t scope =
-        VariantCache::hashKey(baselineCv.programs.contentKey() + '\n' +
-                              fitness.name() + '\n' + fingerprint);
-    if (scope == 0) // 0 means "don't check" to the loader.
-        scope = 1;
-    return scope;
+    return scopeFingerprint(baselineCv, fitness, fingerprint);
 }
 
 } // namespace
@@ -509,10 +504,7 @@ EvolutionEngine::run(const GenerationCallback& onGeneration)
     // carries those) would serve wrong fitness values with no error.
     const bool persist = params_.useCache && !params_.cachePath.empty();
     if (persist) {
-        cacheScope_ = VariantCache::hashKey(
-            baselineCv.programs.contentKey() + '\n' + fitness_.name());
-        if (cacheScope_ == 0) // 0 means "don't check" to the loader
-            cacheScope_ = 1;
+        cacheScope_ = scopeFingerprint(baselineCv, fitness_);
         result.cacheSummary.preloaded = loadPersistentCaches();
     }
     result.baselineMs = baseline.ms();

@@ -5,9 +5,9 @@
 /// (core/topology.h): per-island RNG streams, periodic migration, and a
 /// shared two-level variant cache. Fitness evaluations from every island
 /// are batched into one EvaluationBackend dispatch per generation
-/// (core/eval_backend.h — in-process thread pool or crash-isolated
-/// worker sessions), so the backend sees the whole generation's work at
-/// once regardless of island count.
+/// (core/eval_backend.h — in-process evaluators on the process-wide
+/// helper threads, or crash-isolated worker sessions), so the backend
+/// sees the whole generation's work at once regardless of island count.
 ///
 /// islands = 1 is the paper's Sec III-E configuration (population 256,
 /// elitism 4, crossover 0.8, mutation 0.3) and reproduces the pre-island

@@ -1,6 +1,10 @@
 #include "core/eval_backend.h"
 
-#include "core/fault_inject.h"
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <thread>
+
 #include "support/logging.h"
 #include "support/thread_pool.h"
 
@@ -62,8 +66,10 @@ class InProcessBackend final : public EvaluationBackend {
   public:
     InProcessBackend(const ir::Module& base, const FitnessFunction& fitness,
                      std::uint32_t threads)
-        : compiler_(base), fitness_(fitness), pool_(threads),
-          faults_(parseFaultSpecs())
+        : compiler_(base), fitness_(fitness),
+          evaluators_(threads != 0
+                          ? threads
+                          : std::max(1u, std::thread::hardware_concurrency()))
     {
     }
 
@@ -73,32 +79,24 @@ class InProcessBackend final : public EvaluationBackend {
                   std::vector<EvalOutcome>* out) override
     {
         out->assign(batch.size(), EvalOutcome{});
-        // Sequence numbers are assigned by batch position, not dispatch
-        // order, so the fault schedule is thread-count independent.
-        const std::uint64_t seqBase = nextSeq_;
-        nextSeq_ += batch.size();
-        pool_.parallelFor(batch.size(), [&](std::size_t i) {
-            if (const auto fault = faultFor(faults_, seqBase + i)) {
-                if (*fault == FaultKind::Crash)
-                    faultCrash();
-                if (*fault == FaultKind::Hang)
-                    faultHang();
-                // Garbage and the network kinds have no in-process
-                // meaning: there is no socket to corrupt. Ignored, so one
-                // spec can drive every backend.
-            }
-            (*out)[i] =
-                evaluateTask(compiler_, fitness_, *batch[i], programCache,
-                             nullptr);
-        });
+        // The calling thread and up to evaluators_ - 1 idle helpers claim
+        // batch positions from one counter; outcome i depends only on
+        // batch[i], so the claim order never reaches the trajectory.
+        std::atomic<std::size_t> next{0};
+        const std::function<void()> work = [&] {
+            for (std::size_t i; (i = next++) < batch.size();)
+                (*out)[i] = evaluateTask(compiler_, fitness_, *batch[i],
+                                         programCache, nullptr);
+        };
+        const std::size_t participants =
+            std::min<std::size_t>(evaluators_, batch.size());
+        HelperPool::share(work, participants > 0 ? participants - 1 : 0);
     }
 
   private:
     VariantCompiler compiler_;
     const FitnessFunction& fitness_;
-    ThreadPool pool_;
-    std::vector<FaultSpec> faults_;
-    std::uint64_t nextSeq_ = 0;
+    std::uint32_t evaluators_; ///< Upper bound, caller included.
 };
 
 } // namespace

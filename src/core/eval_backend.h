@@ -7,12 +7,14 @@
 /// dispatch per generation (core/engine.h); this interface owns that
 /// dispatch. Three kinds, two implementations:
 ///
-///   InProcess — the engine's thread pool: every evaluation runs in the
-///   engine's own address space. Fastest, but a variant whose simulation
-///   segfaults, aborts or hangs kills the whole search (GEVO-scale
-///   campaigns are 256 x 300 ~ 77k evaluations of adversarially mutated
-///   programs — hours of wall clock riding on every one of them
-///   behaving).
+///   InProcess — the engine thread and the process-wide HelperPool
+///   (support/thread_pool.h) claim batch positions from one counter:
+///   every evaluation runs in the engine's own address space, on at most
+///   `params.threads` threads (0 = hardware concurrency), and serially in
+///   a forked child. Fastest, but a variant whose simulation segfaults,
+///   aborts or hangs kills the whole search (GEVO-scale campaigns are
+///   256 x 300 ~ 77k evaluations of adversarially mutated programs —
+///   hours of wall clock riding on every one of them behaving).
 ///
 ///   Isolated and Remote — the farm dispatcher (farm/client.h) talking
 ///   to farm WorkerSessions (farm/session.h) over framed sockets. Remote
@@ -38,9 +40,8 @@
 /// "hang@3" (sleeps until the deadline kills it), "garbage@7" (the
 /// session writes a malformed response frame), with a comma-separated
 /// list and a "+" suffix meaning "this one and every later evaluation"
-/// ("crash@5+"). Crash and hang apply to every backend (in process they
-/// take the host down — that is the demonstration); the other kinds
-/// apply to sessions, which speak the core/codec.h stream frames. A
+/// ("crash@5+"). Faults fire only in worker sessions, so only the
+/// isolated and remote backends see them (core/fault_inject.h). A
 /// redispatch keeps its sequence number, so a fault fires on both
 /// strikes. The spec is re-read per backend construction and sequence
 /// numbers are per-backend, so tests stay independent.

@@ -1,9 +1,9 @@
 /// \file
-/// Deterministic fault injection for the evaluation backends and the
-/// farm (GEVO_FAULT_INJECT). Shared by the in-process backend
-/// (core/eval_backend.cpp) and the worker session behind the isolated
-/// and remote backends (farm/session.cpp), so one spec can drive every
-/// failure path.
+/// Deterministic fault injection for the farm (GEVO_FAULT_INJECT).
+/// Faults fire only in worker sessions (farm/session.cpp), the
+/// evaluators behind the isolated and remote backends; the in-process
+/// backend ignores the variable, since a fault there could only take
+/// the search down with it.
 ///
 /// Spec grammar: a comma-separated list of `kind@N` entries, firing when
 /// the global evaluation sequence number equals N (or any later number
@@ -19,10 +19,8 @@
 ///   truncate   — a session sends a partial frame, then closes
 ///                (mid-frame peer loss).
 ///
-/// Every kind but crash and hang is meaningless to the in-process
-/// backend and ignored there, so a single spec can drive a test that
-/// compares backends. Malformed specs are fatal user errors — a
-/// silently ignored fault spec would make a crash test vacuously green.
+/// Malformed specs are fatal user errors — a silently ignored fault spec
+/// would make a crash test vacuously green.
 
 #ifndef GEVO_CORE_FAULT_INJECT_H
 #define GEVO_CORE_FAULT_INJECT_H
@@ -62,9 +60,7 @@ std::optional<FaultKind> faultFor(const std::vector<FaultSpec>& specs,
 /// under test is the one a wild pointer in a hostile mutant would take.
 [[noreturn]] void faultCrash();
 
-/// Sleep until something kills us (a watchdog — or nothing, when
-/// injected into the in-process backend: hanging the host is the
-/// failure mode the isolated/remote backends exist to contain).
+/// Sleep until the dispatcher's deadline kills the session.
 [[noreturn]] void faultHang();
 
 /// Write bytes that are not a stream frame (wrong magic) to \p fd: the

@@ -46,20 +46,6 @@ setCompileMode(CompileMode mode)
     gCompileMode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
-void
-ProfileSummary::accumulateLaunch(const sim::LaunchStats& stats)
-{
-    warpInstrs += stats.warpInstrs;
-    issueCycles += stats.issueCycles;
-    divergences += stats.divergences;
-    sharedConflictWays += stats.sharedConflictWays;
-    globalSectors += stats.globalSectors;
-    if (locIssues.size() < stats.locIssues.size())
-        locIssues.resize(stats.locIssues.size(), 0);
-    for (std::size_t loc = 0; loc < stats.locIssues.size(); ++loc)
-        locIssues[loc] += stats.locIssues[loc];
-}
-
 CompiledVariant
 compileVariant(const ir::Module& base, const std::vector<mut::Edit>& edits)
 {

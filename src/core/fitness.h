@@ -184,24 +184,13 @@ class VariantCompiler {
     sim::ProgramSet basePrograms_; ///< cleanedBase_ decoded once.
 };
 
-/// Structured diagnosis of one profiled evaluation: the per-loc issue
-/// histogram plus the memory-stall and divergence aggregates the simulator
-/// already computes. `locIssues` is indexed by interned source-loc id
-/// (slot 0 = instructions without a loc) — the same id space the base
-/// module's instructions carry, because the COW loc table is shared by
-/// every variant, so the guided sampler can map heat straight onto
-/// candidate edit sites.
-struct ProfileSummary {
-    std::vector<std::uint64_t> locIssues; ///< Issue slots per loc id.
-    std::uint64_t warpInstrs = 0;         ///< Warp-instructions executed.
-    std::uint64_t issueCycles = 0;        ///< Issue slots incl. stalls.
-    std::uint64_t divergences = 0;        ///< Branch divergence events.
-    std::uint64_t sharedConflictWays = 0; ///< Shared-mem bank conflict ways.
-    std::uint64_t globalSectors = 0;      ///< 32B global sectors touched.
-
-    /// Fold another launch's stats into this summary.
-    void accumulateLaunch(const sim::LaunchStats& stats);
-};
+/// Structured diagnosis of one profiled evaluation: the launch counters
+/// summed over the run, whose `locIssues` histogram is indexed by
+/// interned source-loc id (slot 0 = instructions without a loc) — the
+/// same id space the base module's instructions carry, because the COW
+/// loc table is shared by every variant, so the guided sampler can map
+/// heat straight onto candidate edit sites.
+using ProfileSummary = sim::LaunchStats;
 
 /// Application-supplied scoring of a compiled variant.
 ///
@@ -252,9 +241,10 @@ class FitnessFunction {
 };
 
 /// Both pipeline stages in one call: compile \p edits against \p base and
-/// score the result. This is THE entry point used by the evolution engine,
-/// the analysis algorithms, and the benches, so every consumer sees
-/// identical semantics.
+/// score the result, with no cache. The analysis algorithms, the benches
+/// and the examples score one-off variants through it; the engine's
+/// evaluations go through an EvaluationBackend (core/eval_backend.h),
+/// whose evaluateTask() gives the same result for the same edits.
 FitnessResult evaluateVariant(const ir::Module& base,
                               const std::vector<mut::Edit>& edits,
                               const FitnessFunction& fitness);

@@ -18,9 +18,10 @@ namespace gevo::core {
 /// Which evaluation backend executes a generation's batch of fitness
 /// evaluations (core/eval_backend.h).
 enum class EvalBackendKind : std::uint8_t {
-    /// Today's thread pool: every evaluation runs in the engine's own
-    /// address space. Fastest; a variant that crashes or hangs the
-    /// simulator takes the whole search down with it.
+    /// The engine thread plus the process-wide idle-core helpers: every
+    /// evaluation runs in the engine's own address space. Fastest; a
+    /// variant that crashes or hangs the simulator takes the whole search
+    /// down with it.
     InProcess,
     /// Farm worker sessions forked per batch over socketpairs, under the
     /// farm dispatcher's per-evaluation deadline: a variant that
@@ -84,14 +85,19 @@ struct EvolutionParams {
     double mutationAppendProb = 0.85;
     std::uint32_t tournamentSize = 2;
     std::uint64_t seed = 1;
-    std::uint32_t threads = 0; ///< 0 = hardware concurrency.
+    /// Evaluator threads, 0 = hardware concurrency. In process this is
+    /// an upper bound, the engine thread included: it is capped at the
+    /// hardware threads, and a fork()ed child evaluates serially. The
+    /// isolated backend forks this many sessions. Trajectories never
+    /// depend on it.
+    std::uint32_t threads = 0;
 
     // ---- population structure (island model) ----
     /// Number of islands. 1 is the paper's single panmictic population and
     /// reproduces the pre-island engine bit-for-bit (island 0's RNG stream
     /// is seeded with `seed` directly). Islands evolve independently
     /// except for migration; their fitness evaluations are batched into
-    /// one thread-pool dispatch per generation.
+    /// one backend dispatch per generation.
     std::uint32_t islands = 1;
     /// Ring migration period in generations (0 = never migrate). Only
     /// meaningful when islands > 1.

@@ -8,7 +8,7 @@
 /// RNG draw order are preserved verbatim: a single Population driven by
 /// one Rng stream reproduces the pre-island engine's trajectory exactly.
 /// Fitness evaluation is NOT here — the engine owns it, so that
-/// evaluations from every island can be batched into one thread-pool
+/// evaluations from every island can be batched into one backend
 /// dispatch and share the variant caches.
 
 #ifndef GEVO_CORE_POPULATION_H

@@ -215,4 +215,16 @@ VariantCache::clear()
     evictions_.store(0, std::memory_order_relaxed);
 }
 
+std::uint64_t
+scopeFingerprint(const CompiledVariant& baseline,
+                 const FitnessFunction& fitness, const std::string& params)
+{
+    std::string text =
+        baseline.programs.contentKey() + '\n' + fitness.name();
+    if (!params.empty())
+        text += '\n' + params;
+    const std::uint64_t scope = VariantCache::hashKey(text);
+    return scope != 0 ? scope : 1;
+}
+
 } // namespace gevo::core

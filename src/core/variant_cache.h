@@ -11,7 +11,7 @@
 /// to distinct keys (edit application is order-sensitive).
 ///
 /// The cache is sharded: each shard owns a mutex plus an open hash map, so
-/// concurrent inserts from the evaluation thread pool contend only when
+/// concurrent inserts from the evaluator threads contend only when
 /// they land on the same shard. Results are immutable once inserted —
 /// fitness is a deterministic function of the edit list — which is what
 /// makes serving cached results trajectory-neutral (same seed, same best
@@ -145,6 +145,18 @@ class VariantCache {
     mutable std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
 };
+
+/// The scope fingerprint of a search: the 64-bit hash of the baseline
+/// program content key and the fitness name, then \p params when it is
+/// non-empty, each joined by a newline. Equal scopes mean the same
+/// baseline module, device model and dataset, so results keyed under one
+/// are valid under the other: the persistent cache file and the farm
+/// handshake key on the scope, and the checkpoint on the scope with the
+/// trajectory parameters as \p params. Never 0: loaders and comparators
+/// read 0 as "unchecked".
+std::uint64_t scopeFingerprint(const CompiledVariant& baseline,
+                               const FitnessFunction& fitness,
+                               const std::string& params = {});
 
 } // namespace gevo::core
 

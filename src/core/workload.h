@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,13 +78,14 @@ class WorkloadInstance {
     virtual double paperCeiling() const { return 0.0; }
 
     /// Held-out validation of a search's best edit list (e.g. SIMCoV's
-    /// memory-tight large grid; see DriverInstance::heldOut). Returns an
+    /// memory-tight large grid; see DriverInstance::heldOut). Returns
+    /// nullopt when the workload has no held-out check (the default), an
     /// empty string when the variant passes, else a diagnostic.
-    virtual std::string
+    virtual std::optional<std::string>
     validateBest(const std::vector<mut::Edit>& edits) const
     {
         (void)edits;
-        return {};
+        return std::nullopt;
     }
 };
 

@@ -59,7 +59,7 @@ class FarmBackend final : public core::EvaluationBackend {
                 const core::EvolutionParams& params)
         : compiler_(base), fitness_(fitness),
           timeoutMs_(params.evalTimeoutMs),
-          scope_(trajectoryScope(compiler_, fitness))
+          scope_(core::scopeFingerprint(compiler_.compile({}), fitness))
     {
         GEVO_ASSERT(timeoutMs_ > 0, "evaluation deadline needs a budget");
         // A worker vanishing mid-send must surface as a write error on

@@ -1,7 +1,5 @@
 #include "farm/protocol.h"
 
-#include "core/variant_cache.h"
-
 namespace gevo::farm {
 
 using core::Reader;
@@ -148,18 +146,6 @@ decodePong(std::string_view payload, std::uint64_t* nonce)
 {
     Reader c(payload);
     return expectType(&c, MsgType::Pong) && c.u64(nonce) && c.done();
-}
-
-std::uint64_t
-trajectoryScope(const core::VariantCompiler& compiler,
-                const core::FitnessFunction& fitness)
-{
-    const core::CompiledVariant baseline = compiler.compile({});
-    std::uint64_t scope = core::VariantCache::hashKey(
-        baseline.programs.contentKey() + '\n' + fitness.name());
-    if (scope == 0) // 0 means "unchecked" to scope comparators.
-        scope = 1;
-    return scope;
 }
 
 } // namespace gevo::farm

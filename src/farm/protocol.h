@@ -99,14 +99,6 @@ bool decodeEvalReply(std::string_view payload, EvalReply* out);
 bool decodePing(std::string_view payload, std::uint64_t* nonce);
 bool decodePong(std::string_view payload, std::uint64_t* nonce);
 
-/// The trajectory-scope fingerprint both endpoints hash independently:
-/// the variant-cache scope formula (baseline program content key +
-/// fitness name — core/engine.cpp uses the same for persistent cache
-/// files). Identical scope ⇒ identical baseline module, device model and
-/// dataset, so remote results are interchangeable with local ones.
-std::uint64_t trajectoryScope(const core::VariantCompiler& compiler,
-                              const core::FitnessFunction& fitness);
-
 } // namespace gevo::farm
 
 #endif // GEVO_FARM_PROTOCOL_H

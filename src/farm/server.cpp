@@ -76,7 +76,8 @@ runWorkerServer(const ir::Module& base,
     // Precompile once; every session child inherits the cleaned base
     // and decoded programs by copy-on-write.
     const core::VariantCompiler compiler(base);
-    const std::uint64_t scope = trajectoryScope(compiler, fitness);
+    const std::uint64_t scope =
+        core::scopeFingerprint(compiler.compile({}), fitness);
 
     Endpoint ep;
     std::string error;

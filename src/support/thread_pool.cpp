@@ -101,75 +101,4 @@ HelperPool::helperLoop()
     }
 }
 
-ThreadPool::ThreadPool(std::size_t workers)
-{
-    if (workers == 0) {
-        workers = std::max(1u, std::thread::hardware_concurrency());
-    }
-    threads_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        tasks_.push(std::move(task));
-        ++inFlight_;
-    }
-    cv_.notify_one();
-}
-
-void
-ThreadPool::drain()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idleCv_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)>& fn)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        submit([&fn, i] { fn(i); });
-    drain();
-}
-
-void
-ThreadPool::workerLoop()
-{
-    while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-            if (stop_ && tasks_.empty())
-                return;
-            task = std::move(tasks_.front());
-            tasks_.pop();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-            if (inFlight_ == 0)
-                idleCv_.notify_all();
-        }
-    }
-}
-
 } // namespace gevo

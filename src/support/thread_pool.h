@@ -1,7 +1,8 @@
 /// \file
-/// Fixed-size thread pool used to evaluate population fitness in parallel
-/// (paper Sec III-E evaluates 256 individuals per generation; we parallelize
-/// across host cores since each evaluation is an independent simulation).
+/// The process's one set of worker threads. The in-process backend
+/// evaluates a generation's population on it (paper Sec III-E evaluates
+/// 256 individuals per generation; each evaluation is an independent
+/// simulation), and a speculative kernel launch runs its blocks on it.
 
 #ifndef GEVO_SUPPORT_THREAD_POOL_H
 #define GEVO_SUPPORT_THREAD_POOL_H
@@ -10,48 +11,15 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace gevo {
 
-/// Simple task-queue thread pool with a blocking drain.
-class ThreadPool {
-  public:
-    /// Spawn \p workers threads (defaults to hardware concurrency, min 1).
-    explicit ThreadPool(std::size_t workers = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    /// Enqueue a task for asynchronous execution.
-    void submit(std::function<void()> task);
-
-    /// Block until every submitted task has finished.
-    void drain();
-
-    /// Number of worker threads.
-    std::size_t workerCount() const { return threads_.size(); }
-
-    /// Run \p fn(i) for i in [0, n) across the pool and wait for completion.
-    void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> threads_;
-    std::queue<std::function<void()>> tasks_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable idleCv_;
-    std::size_t inFlight_ = 0;
-    bool stop_ = false;
-};
-
-/// Process-wide idle-core helpers for work the calling thread shares,
-/// such as the blocks of one speculative kernel launch. The helper
+/// Process-wide idle-core helpers for work the calling thread shares:
+/// a generation's evaluations, and the blocks of one speculative kernel
+/// launch. share() nests: an evaluation running on a helper may share
+/// its launch's blocks with whichever helpers are still idle. The helper
 /// threads are created once, on first use, one per hardware thread
 /// beyond the first, and wait on a condition variable while idle, so a
 /// caller never starts a thread of its own.

@@ -85,8 +85,7 @@ class ToyFitness : public FitnessFunction {
             {static_cast<std::uint64_t>(outBuf)}, /*profileLocs=*/true);
         if (!res.ok())
             return false;
-        *out = ProfileSummary{};
-        out->accumulateLaunch(res.stats);
+        *out = res.stats;
         return true;
     }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/engine.h"
 #include "ir/parser.h"
 #include "ir/verifier.h"
@@ -10,7 +13,6 @@
 #include "sim/executor.h"
 #include "sim/program.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace gevo::core {
 namespace {
@@ -107,20 +109,28 @@ TEST(VariantCache, LookupInsertAndStats)
 TEST(VariantCache, ConcurrentInsertLookup)
 {
     VariantCache cache(8);
-    ThreadPool pool(4);
+    constexpr int kThreads = 4;
     constexpr int kKeys = 64;
     constexpr int kRounds = 50;
-    pool.parallelFor(4 * kKeys, [&](std::size_t task) {
-        const auto k = static_cast<std::uint64_t>(task % kKeys);
-        const auto key =
-            VariantCache::keyOf({operandReplace(k, 0, 1)});
-        for (int r = 0; r < kRounds; ++r) {
-            cache.insert(key, FitnessResult::pass(static_cast<double>(k)));
-            FitnessResult out;
-            ASSERT_TRUE(cache.lookup(key, &out));
-            ASSERT_DOUBLE_EQ(out.ms(), static_cast<double>(k));
-        }
-    });
+    // Plain threads, so the test stays concurrent on a 1-core host.
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&cache] {
+            for (int k = 0; k < kKeys; ++k) {
+                const auto key = VariantCache::keyOf(
+                    {operandReplace(static_cast<std::uint64_t>(k), 0, 1)});
+                for (int r = 0; r < kRounds; ++r) {
+                    cache.insert(key,
+                                 FitnessResult::pass(static_cast<double>(k)));
+                    FitnessResult out;
+                    ASSERT_TRUE(cache.lookup(key, &out));
+                    ASSERT_DOUBLE_EQ(out.ms(), static_cast<double>(k));
+                }
+            }
+        });
+    }
+    for (auto& t : threads)
+        t.join();
     EXPECT_EQ(cache.stats().entries, static_cast<std::uint64_t>(kKeys));
 }
 

@@ -400,7 +400,7 @@ class SessionHarness {
   public:
     SessionHarness()
         : module_(parse()), compiler_(module_),
-          scope_(trajectoryScope(compiler_, fitness_)),
+          scope_(core::scopeFingerprint(compiler_.compile({}), fitness_)),
           session_(compiler_, fitness_, &cache_, scope_, "toy banner")
     {
         int fds[2];
@@ -556,14 +556,14 @@ TEST(FarmScope, DiffersAcrossFitnessAndBaseline)
     ASSERT_TRUE(res.ok) << res.error;
     ToyFitness fitness;
     core::VariantCompiler compiler(res.module);
-    const auto scope = trajectoryScope(compiler, fitness);
+    const auto scope = core::scopeFingerprint(compiler.compile({}), fitness);
     EXPECT_NE(scope, 0u); // 0 is reserved for "no scope".
 
     class OtherFitness : public ToyFitness {
       public:
         std::string name() const override { return "other"; }
     } other;
-    EXPECT_NE(trajectoryScope(compiler, other), scope);
+    EXPECT_NE(core::scopeFingerprint(compiler.compile({}), other), scope);
 }
 
 } // namespace

@@ -130,7 +130,7 @@ TEST(ReduceHeldOut, WrongTotalAtHeldOutScaleIsRejected)
     const auto fit =
         core::evaluateVariant(instance->module(), {e}, instance->fitness());
     ASSERT_TRUE(fit.valid) << fit.failReason;
-    const auto diag = instance->validateBest({e});
+    const auto diag = instance->validateBest({e}).value_or("");
     EXPECT_NE(diag, "");
     EXPECT_NE(diag.find("got total"), std::string::npos) << diag;
 }

@@ -5,56 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <numeric>
 #include <vector>
 
 namespace gevo {
 namespace {
-
-TEST(ThreadPool, RunsAllTasks)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.drain();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, DrainIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.drain();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.submit([&count] { ++count; });
-    pool.drain();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, ParallelForCoversRange)
-{
-    ThreadPool pool(3);
-    std::vector<int> hits(257, 0);
-    pool.parallelFor(hits.size(),
-                     [&hits](std::size_t i) { hits[i] = 1; });
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 257);
-}
-
-TEST(ThreadPool, WorkerCountDefaultsPositive)
-{
-    ThreadPool pool;
-    EXPECT_GE(pool.workerCount(), 1u);
-}
-
-TEST(ThreadPool, DrainOnEmptyPoolReturns)
-{
-    ThreadPool pool(1);
-    pool.drain(); // must not hang
-    SUCCEED();
-}
 
 TEST(HelperPool, ShareReturnsOnceEveryParticipantHasLeft)
 {
@@ -74,6 +28,35 @@ TEST(HelperPool, ShareReturnsOnceEveryParticipantHasLeft)
         HelperPool::share(work, helpers);
         EXPECT_EQ(done.load(), 200);
         EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 200);
+    }
+}
+
+TEST(HelperPool, NestedShareFromAHelperCompletes)
+{
+    // An evaluation running on a helper shares its launch's blocks with
+    // whichever helpers are idle: every outer item issues an inner
+    // share(), and both levels must be complete when the outer one
+    // returns, however many helpers joined at either level.
+    constexpr int kOuter = 64;
+    constexpr int kInner = 2000;
+    for (const std::size_t helpers : {0u, 1u, 64u}) {
+        std::atomic<int> nextOuter{0};
+        std::vector<std::atomic<int>> innerDone(kOuter);
+        const std::function<void()> outer = [&] {
+            for (int o; (o = nextOuter++) < kOuter;) {
+                std::atomic<int> nextInner{0};
+                const std::function<void()> inner = [&] {
+                    for (int i; (i = nextInner++) < kInner;)
+                        ++innerDone[static_cast<std::size_t>(o)];
+                };
+                HelperPool::share(inner, helpers);
+                EXPECT_EQ(innerDone[static_cast<std::size_t>(o)].load(),
+                          kInner);
+            }
+        };
+        HelperPool::share(outer, helpers);
+        for (const auto& done : innerDone)
+            EXPECT_EQ(done.load(), kInner);
     }
 }
 
