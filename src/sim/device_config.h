@@ -70,8 +70,10 @@ struct DeviceConfig {
     /// (18.4x there vs 32.8x on the P100).
     std::uint32_t storeWaysCap = 32;
 
-    /// Per-thread instruction budget per launch; exceeding it is a Timeout
-    /// fault (catches mutants with runaway loops).
+    /// Instruction budget of each warp of each block, counted in warp
+    /// instructions; a warp that issues more is a Timeout fault (catches
+    /// mutants with runaway loops). A block whose state repeats is
+    /// fast-forwarded to that fault (sim::fastForwardMode()).
     std::uint64_t maxInstrPerThread = 4'000'000;
 
     /// Convenience: total CUDA cores (Table I row).

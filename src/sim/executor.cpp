@@ -90,6 +90,39 @@ setDenseLaneMode(bool on)
 
 namespace {
 
+std::atomic<bool> gFastForward{true};
+
+/// Outcome counts behind fastForwardCounts().
+std::atomic<std::uint64_t> gFfArmed{0};
+std::atomic<std::uint64_t> gFfExact{0};
+std::atomic<std::uint64_t> gFfDrift{0};
+
+} // namespace
+
+bool
+fastForwardMode()
+{
+    return gFastForward.load(std::memory_order_relaxed);
+}
+
+void
+setFastForwardMode(bool on)
+{
+    gFastForward.store(on, std::memory_order_relaxed);
+}
+
+FastForwardCounts
+fastForwardCounts()
+{
+    FastForwardCounts c;
+    c.armedBlocks = gFfArmed.load();
+    c.exactJumps = gFfExact.load();
+    c.driftJumps = gFfDrift.load();
+    return c;
+}
+
+namespace {
+
 constexpr int kWarpSize = 32;
 constexpr std::uint32_t kFullMask = 0xffffffffu;
 
@@ -103,6 +136,8 @@ struct StackEntry {
     std::int32_t pc;
     std::int32_t reconvPc;
     std::uint32_t mask;
+
+    bool operator==(const StackEntry&) const = default;
 };
 
 /// Outcome of running a warp until it can no longer proceed.
@@ -165,6 +200,7 @@ struct LaunchSetup {
     bool profileLocs;
     bool trace; ///< Sampled once per launch, so every block agrees.
     bool dense;
+    bool fastForward;
 };
 
 /// What one speculatively run block did, kept until the commit pass.
@@ -274,6 +310,202 @@ struct SpecView {
     }
 };
 
+/// Fast-forward state of one armed block (see fastForwardMode()): a Brent
+/// cycle search over the block's functional state at checkpoints, plus
+/// the logs that make the comparison cheap. Empty until a block arms, so
+/// launches that never pass the soft cap allocate nothing.
+struct FastForward {
+    /// A spot where a comparison found a difference. The next
+    /// comparisons test the last few such spots first, so a loop that
+    /// never repeats pays O(1) per checkpoint even when its state
+    /// alternates between a few shapes (warps taking turns, an inner
+    /// counter that wraps).
+    enum class Seg : std::uint8_t { None, Running, Warp, Shared, Local,
+                                    Global, Reg };
+    struct Spot {
+        Seg seg = Seg::None;
+        std::size_t idx = 0; ///< Reg: the [warp][lane][reg] index.
+        std::uint32_t warp = 0; ///< Reg only.
+        std::uint32_t reg = 0;  ///< Reg only.
+    };
+    static constexpr std::size_t kHotSpots = 4;
+
+    struct WarpCtrl {
+        std::uint32_t aliveMask = 0;
+        bool done = false;
+        bool atBarrier = false;
+        std::vector<StackEntry> stack;
+        std::uint64_t issued = 0;
+    };
+
+    /// The search looks at every kStride-th checkpoint. The state there
+    /// still determines the state kStride checkpoints on, so it is the
+    /// same cycle search, at a sixteenth of the cost on loops that never
+    /// repeat.
+    static constexpr std::uint32_t kStride = 16;
+
+    bool snapped = false;
+    std::uint32_t countdown = 1; ///< Checkpoints until the next look.
+    std::uint64_t steps = 0; ///< Looks since the snapshot.
+    std::uint64_t power = 1; ///< Brent: re-snapshot after this many.
+    Spot hot[kHotSpots];
+    std::size_t nextHot = 0; ///< Ring slot the next new spot replaces.
+
+    // ---- the snapshot ----
+    /// Warp running at the checkpoint; the warp count at a barrier
+    /// release.
+    std::size_t running = 0;
+    std::vector<WarpCtrl> warps;
+    std::vector<std::uint64_t> regs; ///< [warp][lane][reg], materialized.
+    std::vector<std::uint8_t> shared;
+    std::vector<std::uint8_t> local;
+    LaunchStats stats; ///< Counters at the snapshot.
+
+    // ---- undo log of global memory: 64-byte lines first written since
+    // the snapshot, with their bytes as they were at the snapshot ----
+    std::size_t mappedEnd = 0;
+    std::vector<std::uint64_t> lineBits;
+    std::vector<std::uint32_t> lines;
+    std::vector<std::uint8_t> lineData;
+
+    // ---- span boundaries executed since the snapshot ----
+    std::vector<std::uint8_t> spanSeen;
+    std::vector<std::int32_t> spans;
+
+    /// Registers that differ at the last comparison, and the first
+    /// differing [warp][lane][reg] index of each.
+    std::vector<std::uint8_t> drift;
+    std::vector<std::size_t> driftAt;
+
+    void
+    reset(std::size_t end, std::size_t codeSize, std::size_t numRegs)
+    {
+        snapped = false;
+        countdown = 1;
+        steps = 0;
+        power = 1;
+        std::fill(std::begin(hot), std::end(hot), Spot{});
+        mappedEnd = end;
+        lineBits.assign(((end + 63) / 64 + 63) / 64, 0);
+        spanSeen.assign(codeSize, 0);
+        lines.clear();
+        lineData.clear();
+        spans.clear();
+        drift.resize(numRegs);
+        driftAt.resize(numRegs);
+    }
+
+    /// Forget the writes and spans of the last period.
+    void
+    clearLogs()
+    {
+        for (const std::uint32_t line : lines)
+            lineBits[line >> 6] = 0;
+        lines.clear();
+        lineData.clear();
+        for (const std::int32_t pc : spans)
+            spanSeen[static_cast<std::size_t>(pc)] = 0;
+        spans.clear();
+    }
+
+    bool
+    lineLogged(std::uint64_t line) const
+    {
+        return ((lineBits[line >> 6] >> (line & 63)) & 1u) != 0;
+    }
+
+    /// Before a global store to [addr, addr + size) of \p base: log the
+    /// lines (at most two) it is the first to touch since the snapshot.
+    void
+    noteStore(const std::uint8_t* base, std::int64_t addr, std::int64_t size)
+    {
+        const auto first = static_cast<std::uint64_t>(addr) >> 6;
+        const auto last = static_cast<std::uint64_t>(addr + size - 1) >> 6;
+        if (!lineLogged(first) || !lineLogged(last)) [[unlikely]]
+            logLines(base, first, last);
+    }
+
+    [[gnu::noinline]] void
+    logLines(const std::uint8_t* base, std::uint64_t first,
+             std::uint64_t last)
+    {
+        for (auto line = first; line <= last; ++line) {
+            if (lineLogged(line))
+                continue;
+            lineBits[line >> 6] |= std::uint64_t{1} << (line & 63);
+            lines.push_back(static_cast<std::uint32_t>(line));
+            const std::size_t at = line * 64;
+            const std::size_t off = lineData.size();
+            lineData.resize(off + 64);
+            std::memcpy(lineData.data() + off, base + at,
+                        std::min<std::size_t>(64, mappedEnd - at));
+        }
+    }
+
+    /// Index of the first logged line whose bytes in \p base differ from
+    /// the snapshot's, or lines.size().
+    std::size_t
+    firstChangedLine(const std::uint8_t* base) const
+    {
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            if (lineChanged(base, i))
+                return i;
+        }
+        return lines.size();
+    }
+
+    bool
+    lineChanged(const std::uint8_t* base, std::size_t i) const
+    {
+        const std::size_t at = static_cast<std::size_t>(lines[i]) * 64;
+        return std::memcmp(lineData.data() + i * 64, base + at,
+                           std::min<std::size_t>(64, mappedEnd - at)) != 0;
+    }
+
+    /// Record that the span ending at boundary \p pc ran.
+    void
+    noteSpan(std::int32_t pc)
+    {
+        if (spanSeen[static_cast<std::size_t>(pc)] == 0) [[unlikely]]
+            addSpan(pc);
+    }
+
+    [[gnu::noinline]] void
+    addSpan(std::int32_t pc)
+    {
+        spanSeen[static_cast<std::size_t>(pc)] = 1;
+        spans.push_back(pc);
+    }
+
+    /// A register in `drift` that an instruction of some recorded span
+    /// reads without being an ALU/Cmp op that writes `drift`, or -1 when
+    /// there is none: then the drifting registers only ever feed
+    /// themselves, and the rest of the state is periodic without them.
+    std::int32_t
+    driftEscapes(const Program& prog) const
+    {
+        for (const std::int32_t end : spans) {
+            std::int32_t pc = end;
+            while (pc > 0 &&
+                   prog.code[static_cast<std::size_t>(pc - 1)].spanEnd == end)
+                --pc;
+            for (; pc <= end; ++pc) {
+                const DecodedInstr& in = prog.code[static_cast<std::size_t>(pc)];
+                const bool feedsDrift =
+                    (in.kind == ir::OpKind::Alu ||
+                     in.kind == ir::OpKind::Cmp) &&
+                    in.dest >= 0 && drift[static_cast<std::size_t>(in.dest)];
+                for (int i = 0; i < in.numSrcRegs; ++i) {
+                    const std::int32_t r = in.srcRegs[i];
+                    if (drift[static_cast<std::size_t>(r)] && !feedsDrift)
+                        return r;
+                }
+            }
+        }
+        return -1;
+    }
+};
+
 /// Per-thread reusable launch scratch: the shared/local arenas and warp
 /// contexts (register files, scoreboards, reconvergence stacks) survive
 /// across launchKernel calls, so a workload issuing many tiny launches —
@@ -364,7 +596,8 @@ class BlockRunner {
         : dev_(setup.dev), mem_(setup.mem), prog_(setup.prog),
           dims_(setup.dims), args_(setup.args), stats_(stats),
           profileLocs_(setup.profileLocs), trace_(setup.trace),
-          dense_(setup.dense), shared_(execScratch().shared),
+          dense_(setup.dense), fastForward_(setup.fastForward),
+          shared_(execScratch().shared),
           local_(execScratch().local), warps_(execScratch().warps),
           view_(view), launch_(launch)
     {
@@ -387,15 +620,8 @@ class BlockRunner {
         }
     }
 
-    /// Speculative runs: where the next block's counters go, and whether
-    /// it starts with the full instruction budget or the soft cap.
-    void
-    prepare(LaunchStats* stats, bool fullBudget)
-    {
-        stats_ = stats;
-        budget_ = fullBudget ? dev_.maxInstrPerThread
-                             : dev_.maxInstrPerThread / kSoftCapDivisor;
-    }
+    /// Speculative runs: where the next block's counters go.
+    void prepare(LaunchStats* stats) { stats_ = stats; }
 
     /// The last block passed the soft cap without becoming the frontier.
     bool abandoned() const { return abandoned_; }
@@ -407,6 +633,8 @@ class BlockRunner {
         blockIdx_ = blockIdx;
         fault_ = Fault{};
         abandoned_ = false;
+        budget_ = dev_.maxInstrPerThread / kSoftCapDivisor;
+        ffArmed_ = false;
         std::fill(shared_.begin(), shared_.end(), 0);
         std::fill(local_.begin(), local_.end(), 0);
         for (auto& warp : warps_) {
@@ -475,6 +703,8 @@ class BlockRunner {
                 continue;
             }
             releaseBarrier();
+            if (ffArmed_ && --ff_.countdown == 0) [[unlikely]]
+                ffCheckpoint(warps_.size());
         }
         std::uint64_t issue = 0;
         std::uint64_t lat = 0;
@@ -488,40 +718,38 @@ class BlockRunner {
     }
 
   private:
-    /// A non-frontier speculative block runs under this fraction of the
-    /// instruction budget. Without a cap, a mutant that times out in
-    /// block 0 would have every helper burn the full budget on blocks the
-    /// launch never needs; each helper still spends up to the cap. At
-    /// 1/64 (62.5k instructions per warp on the default budget) an
-    /// unmodified ADEPT block (at most ~41k per warp) fits with room to
-    /// spare, and on the adept-v0 search the work thrown away fell from
-    /// 10.6% of the committed work at 1/16 to 3.2%.
+    /// Every block starts under this fraction of the instruction budget.
+    /// A non-frontier speculative block is abandoned there: without a
+    /// cap, a mutant that times out in block 0 would have every helper
+    /// burn the full budget on blocks the launch never needs; each helper
+    /// still spends up to the cap. Any other block goes on to the full
+    /// budget there and arms fast-forward. At 1/64 (62.5k instructions
+    /// per warp on the default budget) an unmodified ADEPT block (at most
+    /// ~41k per warp) fits with room to spare, so valid variants never
+    /// arm, and on the adept-v0 search the speculative work thrown away
+    /// fell from 10.6% of the committed work at 1/16 to 3.2%.
     static constexpr std::uint64_t kSoftCapDivisor = 64;
 
     /// Per-warp instruction budget of the running block.
-    [[gnu::always_inline]] std::uint64_t
-    budget() const
-    {
-        if constexpr (kSpec)
-            return budget_;
-        else
-            return dev_.maxInstrPerThread;
-    }
+    [[gnu::always_inline]] std::uint64_t budget() const { return budget_; }
 
-    /// Past the budget: a speculative block under the soft cap may go on
-    /// to the full budget once it is the commit frontier.
-    [[gnu::always_inline]] bool
+    /// Past the soft cap: a block that may use the full budget (any
+    /// serial block; the commit frontier of a speculative launch) goes on
+    /// to it and arms fast-forward. Out of line: the issue loops call it
+    /// at most twice per block.
+    [[gnu::noinline]] bool
     extendBudget(const WarpState& warp)
     {
+        if (budget_ == dev_.maxInstrPerThread)
+            return false;
         if constexpr (kSpec) {
-            if (budget_ < dev_.maxInstrPerThread &&
-                launch_->mayRunFull(blockIdx_)) {
-                budget_ = dev_.maxInstrPerThread;
-                return warp.issuedInstrs <= budget_;
-            }
+            if (!launch_->mayRunFull(blockIdx_))
+                return false;
         }
-        (void)warp;
-        return false;
+        budget_ = dev_.maxInstrPerThread;
+        if (fastForward_)
+            ffArm();
+        return warp.issuedInstrs <= budget_;
     }
 
     /// Stop a block past its budget: a Timeout fault, or for a
@@ -671,6 +899,8 @@ class BlockRunner {
             } else {
                 base = mem_.raw();
             }
+            if (ffArmed_) [[unlikely]]
+                ff_.noteStore(base, addr, size);
             break;
           case MemSpace::Shared:
             if (addr < 0 ||
@@ -952,6 +1182,10 @@ class BlockRunner {
     WarpStop runWarpRef(WarpState& warp);
     WarpStop stepRef(WarpState& warp);
     WarpStop runWarpTrace(WarpState& warp);
+    [[gnu::always_inline]] void condBranchTrace(WarpState& warp,
+                                                const DecodedInstr& in,
+                                                std::uint32_t mask,
+                                                const ActiveSet* act);
     // Templated on the packing mode so the full-width instantiation keeps
     // the original straight masked loops (no per-lane indirection) while
     // the dense one iterates the gathered slots; \p act is only read when
@@ -959,6 +1193,257 @@ class BlockRunner {
     template <bool kDense>
     WarpStop execInstr(WarpState& warp, const DecodedInstr& in,
                        std::uint32_t mask, const ActiveSet* act);
+
+    // ---- fast-forward (see fastForwardMode()) ----
+    //
+    // A checkpoint is a backedge of the running warp or a barrier
+    // release. At checkpoints an armed block runs Brent's cycle search
+    // over its functional state: which warp is running; each warp's
+    // reconvergence stack, alive mask, done/barrier flags and registers
+    // in all 32 lanes; shared and local memory; and the global bytes
+    // written since the snapshot. Cycles, ready times and issue cycles
+    // are left out: nothing functional reads them, and a faulted block
+    // never reports them. Once the state repeats, the block repeats the
+    // same instructions forever, so it can only end when a warp passes
+    // the budget; every counter is linear in the number of periods.
+
+    /// A branch with a target at or before it.
+    static bool
+    isBackedge(const DecodedInstr& in, std::int32_t pc)
+    {
+        return in.target0 <= pc ||
+               (in.op == Opcode::CondBr && in.target1 <= pc);
+    }
+
+    [[gnu::noinline]] void
+    ffArm()
+    {
+        ++gFfArmed;
+        ffArmed_ = true;
+        ff_.reset(static_cast<std::size_t>(mem_.mappedEnd()),
+                prog_.code.size(), prog_.numRegs);
+    }
+
+    /// Global memory as this block sees it.
+    const std::uint8_t*
+    globalBase() const
+    {
+        if constexpr (kSpec)
+            return view_->bytes.data();
+        else
+            return mem_.raw();
+    }
+
+    /// Register \p r of \p lane in warp \p w, through the uniform value
+    /// on the trace path.
+    std::uint64_t
+    regAt(std::size_t w, std::size_t lane, std::size_t r) const
+    {
+        const WarpState& warp = warps_[w];
+        if (trace_ && uniTest(warp, r))
+            return warp.uniVal[r];
+        return warp.regs[lane * prog_.numRegs + r];
+    }
+
+    /// Registers one warp holds in the [warp][lane][reg] layout.
+    std::size_t
+    regsPerWarp() const
+    {
+        return static_cast<std::size_t>(kWarpSize) * prog_.numRegs;
+    }
+
+    bool
+    warpCtrlSame(std::size_t w) const
+    {
+        const WarpState& warp = warps_[w];
+        const FastForward::WarpCtrl& s = ff_.warps[w];
+        return warp.aliveMask == s.aliveMask && warp.done == s.done &&
+               warp.atBarrier == s.atBarrier && warp.stack == s.stack;
+    }
+
+    [[gnu::noinline]] void
+    ffCheckpoint(std::size_t running)
+    {
+        ff_.countdown = FastForward::kStride;
+        if (ff_.snapped) {
+            if (ffRepeats(running)) {
+                ffJump();
+                return;
+            }
+            if (++ff_.steps < ff_.power)
+                return;
+            ff_.power *= 2;
+        }
+        ffSnapshot(running);
+    }
+
+    void
+    ffSnapshot(std::size_t running)
+    {
+        ff_.snapped = true;
+        ff_.steps = 0;
+        ff_.running = running;
+        ff_.warps.resize(warps_.size());
+        const std::size_t perWarp = regsPerWarp();
+        ff_.regs.resize(perWarp * warps_.size());
+        for (std::size_t w = 0; w < warps_.size(); ++w) {
+            const WarpState& warp = warps_[w];
+            FastForward::WarpCtrl& s = ff_.warps[w];
+            s.aliveMask = warp.aliveMask;
+            s.done = warp.done;
+            s.atBarrier = warp.atBarrier;
+            s.stack = warp.stack;
+            s.issued = warp.issuedInstrs;
+            std::uint64_t* out = ff_.regs.data() + w * perWarp;
+            for (std::size_t lane = 0; lane < kWarpSize; ++lane) {
+                for (std::size_t r = 0; r < prog_.numRegs; ++r)
+                    *out++ = regAt(w, lane, r);
+            }
+        }
+        ff_.shared = shared_;
+        ff_.local = local_;
+        ff_.stats = *stats_;
+        ff_.clearLogs();
+    }
+
+    /// Does \p spot still match the snapshot?
+    bool
+    spotSame(FastForward::Spot spot, std::size_t running) const
+    {
+        const std::size_t i = spot.idx;
+        switch (spot.seg) {
+          case FastForward::Seg::None: return true;
+          case FastForward::Seg::Running: return running == ff_.running;
+          case FastForward::Seg::Warp: return warpCtrlSame(i);
+          case FastForward::Seg::Shared: return shared_[i] == ff_.shared[i];
+          case FastForward::Seg::Local: return local_[i] == ff_.local[i];
+          case FastForward::Seg::Global:
+            return i >= ff_.lines.size() ||
+                   !ff_.lineChanged(globalBase(), i);
+          case FastForward::Seg::Reg: {
+            const WarpState& warp = warps_[spot.warp];
+            const std::uint64_t v =
+                trace_ && uniTest(warp, spot.reg)
+                    ? warp.uniVal[spot.reg]
+                    : warp.regs[i - spot.warp * regsPerWarp()];
+            return v == ff_.regs[i];
+          }
+        }
+        return true;
+    }
+
+    /// Index of the first byte where \p a and \p b differ, or a.size().
+    static std::size_t
+    firstDiff(const std::vector<std::uint8_t>& a,
+              const std::vector<std::uint8_t>& b)
+    {
+        if (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0)
+            return a.size();
+        return static_cast<std::size_t>(
+            std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+    }
+
+    /// True when the state at this checkpoint equals the snapshot, except
+    /// perhaps for registers that only feed themselves (ff_.drift then
+    /// marks them). Otherwise remembers where it differs.
+    bool
+    ffRepeats(std::size_t running)
+    {
+        using Seg = FastForward::Seg;
+        for (const FastForward::Spot spot : ff_.hot) {
+            if (!spotSame(spot, running))
+                return false;
+        }
+        const auto differ = [this](Seg seg, std::size_t i) {
+            ff_.hot[ff_.nextHot] = {seg, i};
+            if (seg == Seg::Reg) {
+                ff_.hot[ff_.nextHot].warp =
+                    static_cast<std::uint32_t>(i / regsPerWarp());
+                ff_.hot[ff_.nextHot].reg =
+                    static_cast<std::uint32_t>(i % prog_.numRegs);
+            }
+            ff_.nextHot = (ff_.nextHot + 1) % FastForward::kHotSpots;
+            return false;
+        };
+        if (running != ff_.running)
+            return differ(Seg::Running, 0);
+        for (std::size_t w = 0; w < warps_.size(); ++w) {
+            if (!warpCtrlSame(w))
+                return differ(Seg::Warp, w);
+        }
+        if (const std::size_t i = firstDiff(shared_, ff_.shared);
+            i < shared_.size())
+            return differ(Seg::Shared, i);
+        if (const std::size_t i = firstDiff(local_, ff_.local);
+            i < local_.size())
+            return differ(Seg::Local, i);
+        if (const std::size_t i = ff_.firstChangedLine(globalBase());
+            i < ff_.lines.size())
+            return differ(Seg::Global, i);
+        std::fill(ff_.drift.begin(), ff_.drift.end(), 0);
+        bool drifting = false;
+        std::size_t i = 0;
+        for (std::size_t w = 0; w < warps_.size(); ++w) {
+            for (std::size_t lane = 0; lane < kWarpSize; ++lane) {
+                for (std::size_t r = 0; r < prog_.numRegs; ++r, ++i) {
+                    if (regAt(w, lane, r) == ff_.regs[i])
+                        continue;
+                    if (!ff_.drift[r]) {
+                        ff_.drift[r] = 1;
+                        ff_.driftAt[r] = i;
+                    }
+                    drifting = true;
+                }
+            }
+        }
+        if (!drifting)
+            return true;
+        const std::int32_t escapes = ff_.driftEscapes(prog_);
+        if (escapes >= 0)
+            return differ(Seg::Reg,
+                          ff_.driftAt[static_cast<std::size_t>(escapes)]);
+        return true;
+    }
+
+    /// The state repeats: add k periods to every counter, with k the
+    /// most periods every warp can run without passing the budget, and
+    /// stop checking. The remainder then runs normally to the fault.
+    void
+    ffJump()
+    {
+        ffArmed_ = false;
+        std::uint64_t k = ~std::uint64_t{0};
+        for (std::size_t w = 0; w < warps_.size(); ++w) {
+            const std::uint64_t issued = warps_[w].issuedInstrs;
+            const std::uint64_t period = issued - ff_.warps[w].issued;
+            if (period == 0)
+                continue;
+            k = issued > budget_
+                    ? 0
+                    : std::min(k, (budget_ - issued) / period);
+        }
+        if (k == 0 || k == ~std::uint64_t{0})
+            return;
+        for (std::size_t w = 0; w < warps_.size(); ++w)
+            warps_[w].issuedInstrs +=
+                k * (warps_[w].issuedInstrs - ff_.warps[w].issued);
+        const auto advance = [k](std::uint64_t& now, std::uint64_t then) {
+            now += k * (now - then);
+        };
+        const LaunchStats& then = ff_.stats;
+        advance(stats_->warpInstrs, then.warpInstrs);
+        advance(stats_->laneInstrs, then.laneInstrs);
+        advance(stats_->globalSectors, then.globalSectors);
+        advance(stats_->sharedConflictWays, then.sharedConflictWays);
+        advance(stats_->divergences, then.divergences);
+        advance(stats_->barriers, then.barriers);
+        for (std::size_t loc = 0; loc < then.locIssues.size(); ++loc)
+            advance(stats_->locIssues[loc], then.locIssues[loc]);
+        ++(std::any_of(ff_.drift.begin(), ff_.drift.end(),
+                       [](std::uint8_t d) { return d != 0; })
+               ? gFfDrift
+               : gFfExact);
+    }
 
     const DeviceConfig& dev_;
     DeviceMemory& mem_;
@@ -970,17 +1455,23 @@ class BlockRunner {
     bool profileLocs_;
     bool trace_;
     bool dense_;
+    bool fastForward_;
+    bool ffArmed_ = false; ///< Checkpoints and the undo log are live.
 
     std::vector<std::uint8_t>& shared_;
     std::vector<std::uint8_t>& local_;
     std::vector<WarpState>& warps_;
     Fault fault_;
 
+    std::uint64_t budget_ = 0;
+
     // Speculative instantiation only.
     SpecView* view_;
     SpecLaunch* launch_;
-    std::uint64_t budget_ = 0;
     bool abandoned_ = false;
+
+    /// Last: the issue loops never touch it unless the block is armed.
+    FastForward ff_;
 };
 
 /// Reference interpreter: the original per-instruction loop. Kept alive
@@ -1182,6 +1673,8 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
 
       case ir::OpKind::Sync: {
         if (in.op == Opcode::Barrier) {
+            if (ffArmed_) [[unlikely]]
+                ff_.noteSpan(top.pc);
             if (mask != warp.aliveMask)
                 return plainFault(FaultKind::BarrierDivergence,
                                   "bar.sync under divergence");
@@ -1268,6 +1761,8 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
       }
 
       case ir::OpKind::Ctrl: {
+        if (ffArmed_) [[unlikely]]
+            ff_.noteSpan(top.pc);
         if (in.op == Opcode::Ret) {
             issue(warp, in, 1);
             warp.aliveMask &= ~mask;
@@ -1277,33 +1772,35 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
         if (in.op == Opcode::Br) {
             issue(warp, in, 1);
             top.pc = in.target0;
-            return WarpStop::Done;
+        } else {
+            // CondBr.
+            std::uint32_t takenMask = 0;
+            for (int lane = 0; lane < kWarpSize; ++lane) {
+                if ((mask & (1u << lane)) && readOp(in.ops[0], lane) != 0)
+                    takenMask |= 1u << lane;
+            }
+            const std::uint32_t fallMask = mask & ~takenMask;
+            if (in.target0 == in.target1 || fallMask == 0) {
+                issue(warp, in, 1);
+                top.pc = in.target0;
+            } else if (takenMask == 0) {
+                issue(warp, in, 1);
+                top.pc = in.target1;
+            } else {
+                // Divergence: the reconvergence-stack management occupies
+                // issue slots (both sides will each issue their path on
+                // top of this).
+                ++stats_->divergences;
+                issue(warp, in, 1 + dev_.divergeOverhead);
+                const std::int32_t reconv = in.reconvPc;
+                top.pc = reconv;
+                warp.stack.push_back({in.target1, reconv, fallMask});
+                warp.stack.push_back({in.target0, reconv, takenMask});
+            }
         }
-        // CondBr.
-        std::uint32_t takenMask = 0;
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if ((mask & (1u << lane)) && readOp(in.ops[0], lane) != 0)
-                takenMask |= 1u << lane;
-        }
-        const std::uint32_t fallMask = mask & ~takenMask;
-        if (in.target0 == in.target1 || fallMask == 0) {
-            issue(warp, in, 1);
-            top.pc = in.target0;
-            return WarpStop::Done;
-        }
-        if (takenMask == 0) {
-            issue(warp, in, 1);
-            top.pc = in.target1;
-            return WarpStop::Done;
-        }
-        // Divergence: the reconvergence-stack management occupies issue
-        // slots (both sides will each issue their path on top of this).
-        ++stats_->divergences;
-        issue(warp, in, 1 + dev_.divergeOverhead);
-        const std::int32_t reconv = in.reconvPc;
-        top.pc = reconv;
-        warp.stack.push_back({in.target1, reconv, fallMask});
-        warp.stack.push_back({in.target0, reconv, takenMask});
+        if (ffArmed_ && isBackedge(in, static_cast<std::int32_t>(pc)) &&
+            --ff_.countdown == 0) [[unlikely]]
+            ffCheckpoint(static_cast<std::size_t>(warp.index));
         return WarpStop::Done;
       }
 
@@ -1386,6 +1883,8 @@ BlockRunner<kSpec>::runWarpTrace(WarpState& warp)
             return budgetFault();
         const DecodedInstr& in = prog_.code[static_cast<std::size_t>(pc)];
         stats_->laneInstrs += popMask;
+        if (ffArmed_) [[unlikely]]
+            ff_.noteSpan(pc);
 
         if (in.op == Opcode::Barrier) {
             if (mask != warp.aliveMask)
@@ -1405,51 +1904,63 @@ BlockRunner<kSpec>::runWarpTrace(WarpState& warp)
         if (in.op == Opcode::Br) {
             issue(warp, in, 1);
             top.pc = in.target0;
-            continue;
-        }
-        // CondBr. A uniform condition register decides the whole warp in
-        // one scalar test — the dominant case for loop back-edges.
-        const SrcView cond = viewOf(warp, in.ops[0]);
-        std::uint32_t takenMask = 0;
-        if (cond.base == nullptr) {
-            takenMask = cond.scalar != 0 ? mask : 0;
-        } else if (act != nullptr) {
-            // The boundary executes under the span's mask, so the span's
-            // active set is still exact here.
-            for (int k = 0; k < act->n; ++k) {
-                const int lane = act->lanes[k];
-                if (cond.base[static_cast<std::size_t>(lane) *
-                              prog_.numRegs] != 0)
-                    takenMask |= 1u << lane;
-            }
         } else {
-            const std::uint64_t* p = cond.base;
-            for (int lane = 0; lane < kWarpSize;
-                 ++lane, p += prog_.numRegs) {
-                if ((mask & (1u << lane)) && *p != 0)
-                    takenMask |= 1u << lane;
-            }
+            condBranchTrace(warp, in, mask, act);
         }
-        const std::uint32_t fallMask = mask & ~takenMask;
-        if (in.target0 == in.target1 || fallMask == 0) {
-            issue(warp, in, 1);
-            top.pc = in.target0;
-            continue;
-        }
-        if (takenMask == 0) {
-            issue(warp, in, 1);
-            top.pc = in.target1;
-            continue;
-        }
-        // Divergence: the reconvergence-stack management occupies issue
-        // slots (both sides will each issue their path on top of this).
-        ++stats_->divergences;
-        issue(warp, in, 1 + dev_.divergeOverhead);
-        const std::int32_t reconv = in.reconvPc;
-        top.pc = reconv;
-        warp.stack.push_back({in.target1, reconv, fallMask});
-        warp.stack.push_back({in.target0, reconv, takenMask});
+        if (ffArmed_ && isBackedge(in, pc) && --ff_.countdown == 0)
+            [[unlikely]]
+            ffCheckpoint(static_cast<std::size_t>(warp.index));
     }
+}
+
+/// The CondBr at a span boundary under the trace interpreter. A uniform
+/// condition register decides the whole warp in one scalar test — the
+/// dominant case for loop back-edges.
+template <bool kSpec>
+inline void
+BlockRunner<kSpec>::condBranchTrace(WarpState& warp, const DecodedInstr& in,
+                                    std::uint32_t mask, const ActiveSet* act)
+{
+    StackEntry& top = warp.stack.back();
+    const SrcView cond = viewOf(warp, in.ops[0]);
+    std::uint32_t takenMask = 0;
+    if (cond.base == nullptr) {
+        takenMask = cond.scalar != 0 ? mask : 0;
+    } else if (act != nullptr) {
+        // The boundary executes under the span's mask, so the span's
+        // active set is still exact here.
+        for (int k = 0; k < act->n; ++k) {
+            const int lane = act->lanes[k];
+            if (cond.base[static_cast<std::size_t>(lane) * prog_.numRegs] !=
+                0)
+                takenMask |= 1u << lane;
+        }
+    } else {
+        const std::uint64_t* p = cond.base;
+        for (int lane = 0; lane < kWarpSize; ++lane, p += prog_.numRegs) {
+            if ((mask & (1u << lane)) && *p != 0)
+                takenMask |= 1u << lane;
+        }
+    }
+    const std::uint32_t fallMask = mask & ~takenMask;
+    if (in.target0 == in.target1 || fallMask == 0) {
+        issue(warp, in, 1);
+        top.pc = in.target0;
+        return;
+    }
+    if (takenMask == 0) {
+        issue(warp, in, 1);
+        top.pc = in.target1;
+        return;
+    }
+    // Divergence: the reconvergence-stack management occupies issue
+    // slots (both sides will each issue their path on top of this).
+    ++stats_->divergences;
+    issue(warp, in, 1 + dev_.divergeOverhead);
+    const std::int32_t reconv = in.reconvPc;
+    top.pc = reconv;
+    warp.stack.push_back({in.target1, reconv, fallMask});
+    warp.stack.push_back({in.target0, reconv, takenMask});
 }
 
 /// One non-boundary instruction under the trace interpreter: ALU/Cmp with
@@ -1936,7 +2447,7 @@ runSpeculative(const LaunchSetup& setup, std::size_t helpers,
             SpecBlock& blk = launch.blocks[b];
             if (setup.profileLocs)
                 stats.locIssues.assign(setup.prog.maxLoc + 1, 0);
-            runner.prepare(&stats, launch.mayRunFull(b));
+            runner.prepare(&stats);
             blk.fault = runner.runBlock(b, &blk.issue, &blk.lat);
             blk.stats = std::exchange(stats, LaunchStats{});
             blk.abandoned = runner.abandoned();
@@ -2008,8 +2519,10 @@ launchKernel(const DeviceConfig& dev, DeviceMemory& mem, const Program& prog,
         result.stats.locIssues.assign(prog.maxLoc + 1, 0);
 
     const bool trace = interpreterMode() == InterpMode::Trace;
-    const LaunchSetup setup{dev,  mem,         prog,  dims,
-                            args, profileLocs, trace, trace && denseLaneMode()};
+    const LaunchSetup setup{dev,         mem,   prog,
+                            dims,        args,  profileLocs,
+                            trace,       trace && denseLaneMode(),
+                            fastForwardMode()};
 
     std::uint64_t sumIssue = 0;
     std::uint64_t sumLat = 0;

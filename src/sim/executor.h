@@ -173,6 +173,29 @@ struct SpeculationCounts {
 };
 SpeculationCounts speculationCounts();
 
+/// Exact fast-forward of blocks that can only time out. Once some warp
+/// of a block that may use the full instruction budget (every block of a
+/// serial launch; the commit frontier of a speculative one) passes the
+/// soft cap (1/64 of the budget), the block checks its functional state
+/// at backedges and barrier releases. When that state repeats (or
+/// repeats but for registers that only feed themselves), the block is
+/// periodic and can only end in the Timeout fault, so it adds k periods'
+/// worth of every counter at once and runs the remainder normally: the
+/// same Fault, LaunchStats and memory as running the budget out. On by
+/// default; setFastForwardMode(false) turns it off, as the oracle for
+/// tests. Sampled once per launch.
+bool fastForwardMode();
+void setFastForwardMode(bool on);
+
+/// Process-wide fast-forward outcome counts, for tests and diagnostics.
+struct FastForwardCounts {
+    std::uint64_t armedBlocks = 0; ///< Blocks armed at the soft cap.
+    std::uint64_t exactJumps = 0;  ///< Jumps on an exact state repeat.
+    /// Jumps on a repeat that differed only in dead drifting registers.
+    std::uint64_t driftJumps = 0;
+};
+FastForwardCounts fastForwardCounts();
+
 /// Execute \p prog on \p dev over \p mem.
 ///
 /// \p args are the kernel parameters preloaded into r0..r(numParams-1).

@@ -54,6 +54,22 @@ class DenseLaneGuard {
     bool previous_;
 };
 
+/// RAII fast-forward override; restores the previous setting on exit.
+class FastForwardGuard {
+  public:
+    explicit FastForwardGuard(bool on) : previous_(fastForwardMode())
+    {
+        setFastForwardMode(on);
+    }
+    ~FastForwardGuard() { setFastForwardMode(previous_); }
+
+    FastForwardGuard(const FastForwardGuard&) = delete;
+    FastForwardGuard& operator=(const FastForwardGuard&) = delete;
+
+  private:
+    bool previous_;
+};
+
 /// Bit-identical LaunchStats comparison — shared by every differential
 /// suite (trace-vs-reference micro-kernels, app drivers, workload tests)
 /// so a new counter only has to be added here, not in each copy.
