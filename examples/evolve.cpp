@@ -106,7 +106,8 @@ printHelp()
     usage.section("robustness")
         .flag("backend", "<kind>",
               "evaluation backend: inprocess (default, fastest), "
-              "isolated (worker sessions forked every generation; a "
+              "isolated (forked worker sessions that live for the "
+              "search; a "
               "variant that crashes or hangs its session twice is "
               "penalized and quarantined instead of killing the search), "
               "or remote (the same sessions, served by gevo-workerd "

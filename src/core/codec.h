@@ -138,7 +138,8 @@ void appendFitness(std::string* out, const FitnessResult& result);
 bool readFitness(Reader* in, FitnessResult* out);
 
 /// \p programKey rides along: out-of-process evaluators ship the key of
-/// a fresh simulation so the caller's live cache learns the result.
+/// every cached-path task so the caller's live cache replays the hit or
+/// learns the fresh result.
 void appendOutcome(std::string* out, const EvalOutcome& outcome,
                    std::string_view programKey);
 /// Decoded outcomes always carry EvalFailure::None: failure kinds are

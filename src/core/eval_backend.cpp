@@ -45,6 +45,8 @@ evaluateTask(const VariantCompiler& compiler, const FitnessFunction& fitness,
         return out;
     }
     const std::string programKey = cv.programs.contentKey();
+    if (programKeyOut != nullptr)
+        *programKeyOut = programKey;
     FitnessResult cached;
     if (programCache->lookup(programKey, &cached)) {
         out.result = cached;
@@ -53,8 +55,6 @@ evaluateTask(const VariantCompiler& compiler, const FitnessFunction& fitness,
     out.result = fitness.evaluate(cv);
     out.simulated = true;
     programCache->insert(programKey, out.result);
-    if (programKeyOut != nullptr)
-        *programKeyOut = programKey;
     return out;
 }
 

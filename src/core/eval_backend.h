@@ -19,8 +19,9 @@
 ///   Isolated and Remote — the farm dispatcher (farm/client.h) talking
 ///   to farm WorkerSessions (farm/session.h) over framed sockets. Remote
 ///   dials workerd daemons; Isolated forks its sessions over socketpairs
-///   at the start of each batch, so they inherit the base module, the
-///   fitness function and a copy-on-write snapshot of the program cache.
+///   once per search, so they inherit the base module, the fitness
+///   function and a copy-on-write copy of the program cache, which the
+///   dispatcher keeps in step with the caller's from then on.
 ///   Either way one deadline clock, one two-strike rule and one penalty
 ///   function apply: a variant that crashes, hangs or corrupts its
 ///   session twice is scored as a deterministic invalid-individual
@@ -130,8 +131,10 @@ makeFarmBackend(const ir::Module& base, const FitnessFunction& fitness,
 /// body (compile, serve repeat programs from the cache, simulate + insert
 /// otherwise); without one it is the compile-per-call reference path
 /// (every task simulated, no cache lookups). \p programKeyOut, when
-/// non-null, receives the program content key of a fresh simulation
-/// (sessions ship it back so the caller's live cache learns the result).
+/// non-null, receives the program content key of every task that reached
+/// the cache, hit or miss: sessions ship it back so the caller's live
+/// cache replays the same lookup or insert (outcome.simulated tells
+/// which), keeping a bounded cache's recency order equal to theirs.
 /// Shared by the in-process backend, the worker session and the farm
 /// dispatcher's local fallback.
 EvalOutcome

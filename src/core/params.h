@@ -23,11 +23,12 @@ enum class EvalBackendKind : std::uint8_t {
     /// variant that crashes or hangs the simulator takes the whole search
     /// down with it.
     InProcess,
-    /// Farm worker sessions forked per batch over socketpairs, under the
-    /// farm dispatcher's per-evaluation deadline: a variant that
-    /// segfaults, aborts, OOMs or hangs kills only its session. Two
-    /// strikes score it as a deterministic invalid-individual penalty
-    /// and the genotype is quarantined so it is never dispatched again.
+    /// Up to `threads` farm worker sessions, forked over socketpairs and
+    /// kept for the search, under the farm dispatcher's per-evaluation
+    /// deadline: a variant that segfaults, aborts, OOMs or hangs kills
+    /// only its session, which is re-forked. Two strikes score it as a
+    /// deterministic invalid-individual penalty and the genotype is
+    /// quarantined so it is never dispatched again.
     Isolated,
     /// Socket-based evaluation farm (src/farm/): batches are sharded
     /// across `workers` daemons over the framed protocol, with

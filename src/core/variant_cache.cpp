@@ -115,19 +115,15 @@ VariantCache::lookup(const std::string& key, FitnessResult* out) const
     return true;
 }
 
-void
-VariantCache::insert(const std::string& key, const FitnessResult& result)
-{
-    insertImpl(key, result);
-}
-
 bool
-VariantCache::insertImpl(const std::string& key, const FitnessResult& result)
+VariantCache::insert(const std::string& key, const FitnessResult& result)
 {
     Shard& shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto [it, inserted] =
         shard.map.try_emplace(key, Shard::Entry{result, shard.order.end()});
+    if (inserted)
+        it->second.stamp = stamps_.fetch_add(1);
     if (shardCapacity_ == 0)
         return inserted;
     if (!inserted) {
@@ -146,6 +142,30 @@ VariantCache::insertImpl(const std::string& key, const FitnessResult& result)
         evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     return true;
+}
+
+std::vector<std::pair<std::string, FitnessResult>>
+VariantCache::insertedSince(std::uint64_t from) const
+{
+    std::vector<std::pair<std::uint64_t, std::pair<std::string, FitnessResult>>>
+        found;
+    if (from < insertions()) {
+        for (const auto& shard : shards_) {
+            std::lock_guard<std::mutex> lock(shard.mu);
+            for (const auto& [key, entry] : shard.map) {
+                if (entry.stamp >= from)
+                    found.push_back({entry.stamp, {key, entry.result}});
+            }
+        }
+    }
+    // Stamps are unique, so ordering by them is insertion order.
+    std::sort(found.begin(), found.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<std::pair<std::string, FitnessResult>> out;
+    out.reserve(found.size());
+    for (auto& [stamp, entry] : found)
+        out.push_back(std::move(entry));
+    return out;
 }
 
 std::vector<std::pair<std::string, FitnessResult>>
@@ -184,7 +204,7 @@ VariantCache::preload(
 {
     std::size_t added = 0;
     for (const auto& [key, result] : entries)
-        added += insertImpl(key, result) ? 1 : 0;
+        added += insert(key, result) ? 1 : 0;
     return added;
 }
 

@@ -24,6 +24,12 @@
 /// too — an evicted result is deterministically recomputed on the next
 /// miss — it only costs throughput, which the evict counter makes
 /// visible.
+///
+/// Every key added to the cache gets the next insertion stamp, so a
+/// reader holding a stamp can ask for what arrived after it
+/// (insertedSince). The isolated evaluation backend keeps its long-lived
+/// forked sessions in step with the parent's cache this way
+/// (farm/client.h).
 
 #ifndef GEVO_CORE_VARIANT_CACHE_H
 #define GEVO_CORE_VARIANT_CACHE_H
@@ -74,8 +80,21 @@ class VariantCache {
     /// value, which is safe because fitness is deterministic in the key,
     /// but still refreshes the entry's recency — a re-inserted key is a
     /// hot key). May evict the shard's least-recently-used entry when
-    /// bounded and full.
-    void insert(const std::string& key, const FitnessResult& result);
+    /// bounded and full. True when the key was new to the cache.
+    bool insert(const std::string& key, const FitnessResult& result);
+
+    /// Keys added so far: the insertion stamp the next new key gets.
+    /// Never reset, not even by clear(), so a stamp stays a valid cursor.
+    std::uint64_t insertions() const
+    {
+        return stamps_.load();
+    }
+
+    /// Entries added at stamp \p from or later that are still cached, in
+    /// insertion order. Does not touch recency or the hit/miss counters.
+    /// Scans every entry; an insert racing with the call may be missed.
+    std::vector<std::pair<std::string, FitnessResult>>
+    insertedSince(std::uint64_t from) const;
 
     /// Deterministic snapshot of every entry, least-recently-used first
     /// within each shard (insertion order by sorted key when unbounded —
@@ -123,19 +142,18 @@ class VariantCache {
         mutable std::mutex mu;
         /// Recency list, most-recent first; only maintained when bounded.
         mutable std::list<std::string> order;
-        /// Value plus its position in `order` (order.end() if unbounded).
+        /// Value, its position in `order` (order.end() if unbounded) and
+        /// its insertion stamp.
         struct Entry {
             FitnessResult result;
             std::list<std::string>::iterator where;
+            std::uint64_t stamp = 0;
         };
         std::unordered_map<std::string, Entry> map;
     };
 
     Shard& shardFor(const std::string& key);
     const Shard& shardFor(const std::string& key) const;
-
-    /// insert() body; returns true when the key was new to the cache.
-    bool insertImpl(const std::string& key, const FitnessResult& result);
 
     std::vector<Shard> shards_;
     std::uint64_t shardMask_ = 0;
@@ -144,6 +162,7 @@ class VariantCache {
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
+    std::atomic<std::uint64_t> stamps_{0};
 };
 
 /// The scope fingerprint of a search: the 64-bit hash of the baseline

@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include <poll.h>
@@ -110,16 +111,20 @@ class FarmBackend final : public core::EvaluationBackend {
                 counters_.crcErrors + counters_.rpcTimeouts +
                 counters_.handshakeRejects + counters_.localEvals >
             0;
+        const std::string forked =
+            forkWorkers_ != 0
+                ? strformat(", %llu sessions forked", counters_.forked)
+                : std::string();
         (faulty ? warn : inform)(
             "%s backend: %llu dispatched, %llu redispatched, "
             "%llu disconnects, %llu crc errors, %llu rpc timeouts, "
             "%llu handshake rejects, %llu reconnects, %llu local "
-            "evaluations",
+            "evaluations%s",
             forkWorkers_ != 0 ? "isolated" : "remote",
             counters_.dispatched, counters_.redispatched,
             counters_.disconnects, counters_.crcErrors,
             counters_.rpcTimeouts, counters_.handshakeRejects,
-            counters_.reconnects, counters_.localEvals);
+            counters_.reconnects, counters_.localEvals, forked.c_str());
     }
 
     void
@@ -145,17 +150,12 @@ class FarmBackend final : public core::EvaluationBackend {
             pending_.push_back(i);
         }
         settled_ = 0;
+        replayed_ = 0;
 
-        if (forkWorkers_ != 0) {
-            // Fresh sessions per batch: each inherits the batch's program
-            // cache as a copy-on-write snapshot, so with one worker the
-            // hits and misses are exactly the in-process ones.
-            links_.assign(std::min(forkWorkers_, batch.size()), Link{});
-            for (auto& l : links_)
-                tryConnect(&l);
-        } else {
+        if (forkWorkers_ != 0)
+            startSessions(batch.size());
+        else
             heartbeat();
-        }
         while (settled_ < batch.size()) {
             tryReconnects();
             if (!anyUp() && allGone()) {
@@ -164,12 +164,9 @@ class FarmBackend final : public core::EvaluationBackend {
             }
             dispatchPending();
             pollOnce();
+            replaySettled();
         }
-        if (forkWorkers_ != 0) {
-            for (auto& l : links_)
-                closeLink(&l);
-            links_.clear();
-        }
+        replaySettled();
         tasks_.clear();
         pending_.clear();
         out_ = nullptr;
@@ -196,6 +193,11 @@ class FarmBackend final : public core::EvaluationBackend {
         /// Batch indices in dispatch order; front is being evaluated.
         std::deque<std::size_t> inflight;
         Clock::time_point frontDeadline{};
+        /// Isolated only: the parent-cache insertion stamp this session's
+        /// cache is in step with, and the program keys it simulated
+        /// (so holds already) since then.
+        std::uint64_t cursor = 0;
+        std::unordered_set<std::string> produced;
     };
 
     struct Task {
@@ -203,6 +205,8 @@ class FarmBackend final : public core::EvaluationBackend {
         std::uint8_t strikes = 0;
         EvalFailure lastStrike = EvalFailure::None;
         bool settled = false;
+        /// The program key the answering session looked up or inserted.
+        std::string programKey;
     };
 
     struct Counters {
@@ -214,6 +218,7 @@ class FarmBackend final : public core::EvaluationBackend {
         unsigned long long handshakeRejects = 0;
         unsigned long long reconnects = 0;
         unsigned long long localEvals = 0;
+        unsigned long long forked = 0;
     };
 
     bool
@@ -232,7 +237,7 @@ class FarmBackend final : public core::EvaluationBackend {
 
     /// Close \p l's socket. A forked session is killed and reaped with
     /// it: one past its deadline would otherwise run on until its own
-    /// alarm, and none may outlive the batch.
+    /// alarm, and none may outlive the backend.
     void
     closeLink(Link* l)
     {
@@ -333,9 +338,75 @@ class FarmBackend final : public core::EvaluationBackend {
         }
     }
 
+    /// Batch start, isolated: fork the sessions a batch of \p batchSize
+    /// can use that do not exist yet, and sync the live ones. Sessions
+    /// hold a copy of one program cache (or none); a batch that brings
+    /// another retires them all first.
+    void
+    startSessions(std::size_t batchSize)
+    {
+        if (cache_ != sessionCache_) {
+            for (auto& l : links_)
+                closeLink(&l);
+            links_.clear();
+            sessionCache_ = cache_;
+        }
+        for (auto& l : links_) {
+            if (l.up && !syncSession(&l))
+                connectionLost(&l, EvalFailure::WorkerCrash);
+        }
+        while (links_.size() < std::min(forkWorkers_, batchSize)) {
+            links_.emplace_back();
+            tryConnect(&links_.back());
+        }
+    }
+
+    /// Bring \p l's session cache in step with the parent's: send, in
+    /// insertion order, the entries added since its cursor that it did
+    /// not simulate itself. False when the session hung up, or dropped a
+    /// frame too large to decode; either way its re-fork inherits the
+    /// whole cache.
+    bool
+    syncSession(Link* l)
+    {
+        if (cache_ == nullptr || l->cursor == cache_->insertions())
+            return true;
+        std::vector<ProgramEntry> entries;
+        const std::uint64_t now = cache_->insertions();
+        for (auto& entry : cache_->insertedSince(l->cursor)) {
+            if (l->produced.count(entry.first) == 0)
+                entries.push_back(std::move(entry));
+        }
+        l->cursor = now;
+        l->produced.clear();
+        return entries.empty() || writeFrame(l->fd, encodeSync(entries));
+    }
+
+    /// Replay into the parent's cache, in batch order, the program-cache
+    /// lookup or insert of every task settled so far without a gap. A
+    /// session forked later in the batch inherits them, so at one worker
+    /// the cache evolves exactly as in process, faults or not. A hit the
+    /// parent no longer holds (a bounded cache can evict what a session
+    /// kept) is learned too.
+    void
+    replaySettled()
+    {
+        for (; replayed_ < tasks_.size() && tasks_[replayed_].settled;
+             ++replayed_) {
+            const std::string& key = tasks_[replayed_].programKey;
+            if (cache_ == nullptr || key.empty())
+                continue;
+            const EvalOutcome& outcome = (*out_)[replayed_];
+            core::FitnessResult cached;
+            if (outcome.simulated || !cache_->lookup(key, &cached))
+                cache_->insert(key, outcome.result);
+        }
+    }
+
     /// Fork a WorkerSession on one end of a fresh socketpair and return
     /// the other end. The child inherits the compiler, the fitness
-    /// function and the batch's program cache by copy-on-write.
+    /// function and the parent's program cache by copy-on-write, so its
+    /// cursor starts at the cache's current insertion stamp.
     int
     forkSession(Link* l)
     {
@@ -361,7 +432,10 @@ class FarmBackend final : public core::EvaluationBackend {
             std::_Exit(0);
         }
         ::close(sv[1]);
+        ++counters_.forked;
         l->pid = pid;
+        l->cursor = cache_ != nullptr ? cache_->insertions() : 0;
+        l->produced.clear();
         return sv[0];
     }
 
@@ -612,14 +686,15 @@ class FarmBackend final : public core::EvaluationBackend {
             l->inflight.erase(it);
             if (wasFront && !l->inflight.empty())
                 armFrontDeadline(l);
-            // Commit strictly by batch index; arrival order is noise.
+            // Commit strictly by batch index; arrival order is noise. The
+            // session's cache traffic is replayed into ours in batch
+            // order (replaySettled).
             (*out_)[task] = reply.outcome;
             tasks_[task].settled = true;
+            tasks_[task].programKey = std::move(reply.programKey);
             ++settled_;
-            // The worker's program-cache insert lives in its process;
-            // replay it into ours.
-            if (cache_ != nullptr && !reply.programKey.empty())
-                cache_->insert(reply.programKey, reply.outcome.result);
+            if (forkWorkers_ != 0 && reply.outcome.simulated)
+                l->produced.insert(tasks_[task].programKey);
             return true;
           }
           default:
@@ -669,8 +744,10 @@ class FarmBackend final : public core::EvaluationBackend {
     const core::FitnessFunction& fitness_;
     std::uint32_t timeoutMs_;
     std::uint64_t scope_;
-    /// Sessions forked per batch (isolated); 0 = dial params.workers.
+    /// Most sessions to fork (isolated); 0 = dial params.workers.
     std::size_t forkWorkers_ = 0;
+    /// The program cache the forked sessions hold a copy of.
+    core::VariantCache* sessionCache_ = nullptr;
     std::vector<Link> links_;
     std::size_t rrCursor_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -679,6 +756,8 @@ class FarmBackend final : public core::EvaluationBackend {
     std::vector<Task> tasks_;
     std::deque<std::size_t> pending_;
     std::size_t settled_ = 0;
+    /// Tasks whose cache traffic is replayed: a prefix of the batch.
+    std::size_t replayed_ = 0;
     std::uint64_t seqBase_ = 0;
     /// The current batch's output vector and program cache (valid within
     /// evaluateBatch).

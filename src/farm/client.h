@@ -10,11 +10,26 @@
 ///   - `--backend=remote` dials the workerd daemons in `--workers`; each
 ///     forks one session per connection (farm/server.h). Connections
 ///     persist across generations; idle ones are pinged at batch start.
-///   - `--backend=isolated` forks min(workers, batch size) sessions over
-///     socketpairs at the start of each batch, each inheriting the
-///     batch's program cache copy-on-write, and reaps them at batch end.
-///     A session that dies or blows its deadline is SIGKILLed, reaped and
-///     replaced by a fresh fork.
+///   - `--backend=isolated` forks its sessions over socketpairs, lazily:
+///     up to `threads` of them, each the first time a batch is large
+///     enough to need it. They live for the whole search, and the
+///     backend's destructor reaps them. A session that dies or blows its
+///     deadline is SIGKILLed, reaped and re-forked through the same
+///     redial path a lost remote connection takes.
+///
+/// Program-cache sync (isolated): a session is forked with a
+/// copy-on-write copy of the parent's program cache and then lives
+/// across batches, so it must learn what the parent's cache gains
+/// meanwhile. Each session keeps a cursor, the parent cache's insertion
+/// stamp (core/variant_cache.h) it is in step with. At each batch start
+/// the parent sends every live session, in Sync frames, the entries
+/// added since its cursor that it did not simulate itself (another
+/// session's, the local fallback's, the caller's own inserts). Every
+/// reply carries the program key of a cached-path task, and the parent
+/// replays the sessions' lookups and inserts in batch order as tasks
+/// settle, so at one worker the parent's cache, bounded ones included,
+/// evolves exactly as the session's and as the in-process backend's
+/// would.
 ///
 /// Failure discipline, one rule for both, deterministic given a
 /// deterministic fault schedule:

@@ -83,6 +83,19 @@ encodePong(std::uint64_t nonce)
     return p;
 }
 
+std::string
+encodeSync(const std::vector<ProgramEntry>& entries)
+{
+    std::string p;
+    p.push_back(static_cast<char>(MsgType::Sync));
+    appendLeU32(&p, static_cast<std::uint32_t>(entries.size()));
+    for (const auto& [key, result] : entries) {
+        core::appendString(&p, key);
+        core::appendFitness(&p, result);
+    }
+    return p;
+}
+
 MsgType
 payloadType(std::string_view payload)
 {
@@ -146,6 +159,22 @@ decodePong(std::string_view payload, std::uint64_t* nonce)
 {
     Reader c(payload);
     return expectType(&c, MsgType::Pong) && c.u64(nonce) && c.done();
+}
+
+bool
+decodeSync(std::string_view payload, std::vector<ProgramEntry>* out)
+{
+    Reader c(payload);
+    std::size_t n = 0;
+    // An entry is at least a key length and a FitnessResult's fixed
+    // fields (valid flag, objective count, reason length).
+    return expectType(&c, MsgType::Sync) && c.count(&n) &&
+           c.list(n, 13, out,
+                  [](Reader* in, ProgramEntry* e) {
+                      return in->str(&e->first) &&
+                             core::readFitness(in, &e->second);
+                  }) &&
+           c.done();
 }
 
 } // namespace gevo::farm

@@ -13,7 +13,9 @@
 /// mismatched checkpoint is, or it would silently serve wrong fitness
 /// values. After HelloOk, Eval/EvalResult pairs flow (pipelined;
 /// results carry the request's sequence number), with Ping/Pong as the
-/// idle-connection heartbeat.
+/// idle-connection heartbeat. The isolated backend also sends Sync
+/// frames, unanswered, carrying program-cache entries the session's own
+/// cache lacks; the session inserts them before it reads the next frame.
 
 #ifndef GEVO_FARM_PROTOCOL_H
 #define GEVO_FARM_PROTOCOL_H
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/codec.h"
@@ -32,8 +35,8 @@ namespace gevo::farm {
 
 /// Bumped on any wire-format change; mismatched peers reject at Hello.
 /// v2 replaced EvalReply's single fitness scalar with the objective
-/// vector.
-constexpr std::uint32_t kFarmProtocolVersion = 2;
+/// vector; v3 added Sync and ships the program key on cache hits too.
+constexpr std::uint32_t kFarmProtocolVersion = 3;
 
 enum class MsgType : std::uint8_t {
     Hello = 1,
@@ -43,6 +46,7 @@ enum class MsgType : std::uint8_t {
     EvalResult = 5,
     Ping = 6,
     Pong = 7,
+    Sync = 8,
 };
 
 using core::appendFrame;
@@ -52,6 +56,9 @@ using core::kFrameHeader;
 using core::kFrameMagic;
 
 // ---- message payloads ----
+
+/// One program-cache entry: content key and its fitness.
+using ProgramEntry = std::pair<std::string, core::FitnessResult>;
 
 /// Client → worker session opener.
 struct HelloMsg {
@@ -70,8 +77,8 @@ struct EvalRequest {
 };
 
 /// Worker → client evaluation result: the shared EvalOutcome codec,
-/// including the program content key of a fresh simulation (the client
-/// replays the insert into its live cache).
+/// including the program content key of a cached-path task (the client
+/// replays the session's lookup or insert into its live cache).
 struct EvalReply {
     std::uint64_t seq = 0;
     core::EvalOutcome outcome;
@@ -85,6 +92,8 @@ std::string encodeEvalRequest(const EvalRequest& req);
 std::string encodeEvalReply(const EvalReply& reply);
 std::string encodePing(std::uint64_t nonce);
 std::string encodePong(std::uint64_t nonce);
+/// Client → isolated session: program-cache entries, in insertion order.
+std::string encodeSync(const std::vector<ProgramEntry>& entries);
 
 /// Type of a received payload (MsgType{0} when the payload is empty).
 MsgType payloadType(std::string_view payload);
@@ -98,6 +107,7 @@ bool decodeEvalRequest(std::string_view payload, EvalRequest* out);
 bool decodeEvalReply(std::string_view payload, EvalReply* out);
 bool decodePing(std::string_view payload, std::uint64_t* nonce);
 bool decodePong(std::string_view payload, std::uint64_t* nonce);
+bool decodeSync(std::string_view payload, std::vector<ProgramEntry>* out);
 
 } // namespace gevo::farm
 

@@ -1,7 +1,7 @@
 /// \file
 /// The gevo-workerd accept loop: listen on a farm endpoint, fork one
 /// WorkerSession child per accepted connection, as the isolated backend
-/// forks one per batch slot. Forking buys two properties: a hostile
+/// forks one per worker. Forking buys two properties: a hostile
 /// variant kills only its session process, and every session inherits
 /// the precompiled VariantCompiler by copy-on-write with zero
 /// serialization. The daemon itself never evaluates anything, so it

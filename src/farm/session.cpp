@@ -153,6 +153,16 @@ WorkerSession::serve(int fd)
                 if (!handleEval(fd, payload))
                     return;
                 continue;
+              case MsgType::Sync: {
+                std::vector<ProgramEntry> entries;
+                if (!decodeSync(payload, &entries))
+                    return;
+                if (cache_ != nullptr) {
+                    for (const auto& [key, result] : entries)
+                        cache_->insert(key, result);
+                }
+                continue;
+              }
               case MsgType::Ping: {
                 std::uint64_t nonce = 0;
                 if (!decodePing(payload, &nonce) ||

@@ -1,12 +1,15 @@
 /// \file
 /// One farm worker connection: handshake, then serve Eval requests until
-/// the peer goes away. Always runs in a short-lived forked child, so a
-/// crashing or hanging variant takes down only the session. Two places
-/// fork them: the workerd accept loop (farm/server.h), one per accepted
-/// connection, and the isolated backend (farm/client.h), which forks
-/// sessions over socketpairs at the start of each batch. Either way the
-/// dispatcher on the other end strikes the lost evaluation and
-/// redispatches it to a fresh session.
+/// the peer goes away. Always runs in a forked child, so a crashing or
+/// hanging variant takes down only the session. Two places fork them:
+/// the workerd accept loop (farm/server.h), one per accepted connection,
+/// and the isolated backend (farm/client.h), which forks up to one per
+/// worker over socketpairs and keeps them for the whole search, sending
+/// Sync frames so that each session's program cache learns what the
+/// parent's gained. Either way a session lives as long as its
+/// connection, and the dispatcher on the other end strikes the
+/// evaluation a lost session took down and redispatches it to a fresh
+/// one.
 
 #ifndef GEVO_FARM_SESSION_H
 #define GEVO_FARM_SESSION_H
@@ -24,9 +27,10 @@ namespace gevo::farm {
 class WorkerSession {
   public:
     /// \p compiler, \p fitness and \p cache must outlive the session.
-    /// \p cache serves repeat programs and learns fresh ones: workerd
-    /// passes a session-local cache, the isolated backend the search's
-    /// own cache as its fork inherited it. Entries are values of the
+    /// \p cache serves repeat programs and learns fresh ones, from its
+    /// own simulations and from Sync frames: workerd passes a
+    /// session-local cache, the isolated backend the search's own cache
+    /// as its fork inherited it. Entries are values of the
     /// deterministic fitness function, so hits and misses score
     /// identically. \p scope is the daemon's trajectory-scope fingerprint
     /// (protocol.h); a Hello carrying any other scope is rejected.

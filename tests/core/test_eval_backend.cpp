@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <regex>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "apps/registry.h"
 #include "core/engine.h"
+#include "core/population.h"
 #include "core/workload.h"
 #include "ir/parser.h"
 #include "mutation/edit.h"
@@ -21,6 +26,8 @@
 #include "sim/device_memory.h"
 #include "sim/executor.h"
 #include "sim/program.h"
+#include "support/logging.h"
+#include "support/rng.h"
 #include "support/thread_pool.h"
 
 namespace gevo::core {
@@ -264,6 +271,136 @@ TEST(EvalBackend, IsolatedMatchesInProcessCacheAccountingAtOneThread)
         expectSameCacheAccounting(instance->module(), instance->fitness(),
                                   params);
     }
+
+    // A bounded cache evicts by recency: hits and misses must still
+    // land where they land in process.
+    params.seed = 3;
+    params.cacheMaxEntries = 32;
+    expectSameCacheAccounting(instance->module(), instance->fitness(),
+                              params);
+}
+
+/// The parent replays each session's hits as well as its inserts, in
+/// batch order, so at one worker a bounded program cache holds what the
+/// in-process backend's holds, in the same recency order: the saved
+/// cache files are byte-identical.
+TEST(EvalBackend, IsolatedParentCacheMatchesInProcessWhenBounded)
+{
+    apps::registerBuiltinWorkloads();
+    WorkloadConfig config;
+    config.defaults = {{"elems", "2048"}, {"inputs", "1"},
+                       {"data-seed", "7"}};
+    const auto instance =
+        WorkloadRegistry::instance().get("reduce").make(config);
+    auto params = smallParams();
+    params.threads = 1;
+    params.populationSize = 16;
+    params.generations = 30;
+    params.seed = 3;
+    params.cacheMaxEntries = 32;
+    std::string saved[2];
+    for (int i = 0; i < 2; ++i) {
+        params.backend =
+            i == 0 ? EvalBackendKind::InProcess : EvalBackendKind::Isolated;
+        params.cachePath = ::testing::TempDir() + "gevo_bounded_" +
+                           std::to_string(::getpid()) + ".gevocache";
+        std::remove(params.cachePath.c_str());
+        EvolutionEngine(instance->module(), instance->fitness(), params).run();
+        std::ifstream in(params.cachePath, std::ios::binary);
+        saved[i].assign(std::istreambuf_iterator<char>(in), {});
+        std::remove(params.cachePath.c_str());
+    }
+    EXPECT_FALSE(saved[0].empty());
+    EXPECT_TRUE(saved[0] == saved[1]) << "the saved program caches differ";
+}
+
+/// Long-lived sessions learn what the parent's program cache gained
+/// after they were forked: a batch whose programs the caller already
+/// simulated in-process is served from the sessions' caches, at one
+/// worker and at two.
+TEST(EvalBackend, PersistentSessionsAreSyncedWithTheParentsCache)
+{
+    apps::registerBuiltinWorkloads();
+    WorkloadConfig config;
+    config.defaults = {{"elems", "2048"}, {"inputs", "1"},
+                       {"data-seed", "7"}};
+    const auto instance =
+        WorkloadRegistry::instance().get("reduce").make(config);
+    const ir::Module& mod = instance->module();
+    auto params = smallParams();
+    params.populationSize = 24;
+    Population pop(mod, params);
+    Rng rng(params.seed);
+    pop.seed(rng);
+    std::vector<const std::vector<mut::Edit>*> first;
+    std::vector<const std::vector<mut::Edit>*> second;
+    for (std::size_t i = 0; i < pop.size(); ++i)
+        (i < pop.size() / 2 ? first : second).push_back(&pop.members()[i].edits);
+
+    for (const std::uint32_t threads : {1u, 2u}) {
+        params.threads = threads;
+        params.backend = EvalBackendKind::Isolated;
+        const auto isolated = makeBackend(mod, instance->fitness(), params);
+        params.backend = EvalBackendKind::InProcess;
+        const auto inProcess = makeBackend(mod, instance->fitness(), params);
+        VariantCache cache;
+        std::vector<EvalOutcome> outcomes;
+        isolated->evaluateBatch(first, &cache, &outcomes);
+
+        std::vector<EvalOutcome> local;
+        inProcess->evaluateBatch(second, &cache, &local);
+        std::size_t simulated = 0;
+        for (const auto& o : local)
+            simulated += o.simulated ? 1 : 0;
+        ASSERT_GT(simulated, 0u) << "the second batch must bring new programs";
+
+        isolated->evaluateBatch(second, &cache, &outcomes);
+        ASSERT_EQ(outcomes.size(), second.size());
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            EXPECT_EQ(outcomes[i].failure, EvalFailure::None);
+            EXPECT_FALSE(outcomes[i].simulated)
+                << threads << " workers, task " << i;
+            EXPECT_EQ(outcomes[i].result.objectives, local[i].result.objectives);
+        }
+    }
+}
+
+/// The isolated backend's summary line, read from stderr: how many
+/// sessions a search forked.
+std::size_t
+sessionsForked(const ir::Module& mod, const FitnessFunction& fitness,
+               const EvolutionParams& params)
+{
+    const LogLevel level = support::logThreshold();
+    support::setLogThreshold(LogLevel::Info);
+    ::testing::internal::CaptureStderr();
+    EvolutionEngine(mod, fitness, params).run();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    support::setLogThreshold(level);
+    std::smatch m;
+    if (!std::regex_search(err, m,
+                           std::regex("isolated backend: .* ([0-9]+) "
+                                      "sessions forked"))) {
+        ADD_FAILURE() << "no summary line in:\n" << err;
+        return 0;
+    }
+    return std::stoul(m[1]);
+}
+
+/// Sessions live for the whole search: a fault-free search forks one per
+/// worker, and each session a fault takes down is re-forked once.
+TEST(EvalBackend, SessionsAreForkedOncePerSearch)
+{
+    const auto mod = toyModule();
+    ToyFitness fitness;
+    auto params = smallParams();
+    params.backend = EvalBackendKind::Isolated;
+    ASSERT_EQ(params.threads, 2u);
+    EXPECT_EQ(sessionsForked(mod, fitness, params), 2u);
+
+    // The crash fires on both strikes, so it takes two sessions down.
+    ScopedFaultInject fault("crash@4");
+    EXPECT_EQ(sessionsForked(mod, fitness, params), 4u);
 }
 
 TEST(EvalBackend, CrashIsPenalizedQuarantinedAndSearchCompletes)
@@ -307,7 +444,7 @@ TEST(EvalBackend, HangIsKilledByTheWatchdog)
 
 /// Every session the isolated backend forks is reaped before the search
 /// returns: one killed past its deadline, one that crashed, and the
-/// healthy ones closed at each batch end.
+/// healthy ones when the backend is destroyed.
 TEST(EvalBackend, NoSessionOutlivesTheSearch)
 {
     const auto mod = toyModule();

@@ -106,6 +106,35 @@ TEST(VariantCache, LookupInsertAndStats)
     EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+TEST(VariantCache, InsertedSinceListsNewKeysInInsertionOrder)
+{
+    // Bounded to two entries in one shard, so the third insert evicts.
+    VariantCache cache(1, 2);
+    EXPECT_EQ(cache.insertions(), 0u);
+    EXPECT_TRUE(cache.insert("b", FitnessResult::pass(2.0)));
+    EXPECT_TRUE(cache.insert("a", FitnessResult::pass(1.0)));
+    EXPECT_FALSE(cache.insert("b", FitnessResult::pass(9.0)));
+    EXPECT_EQ(cache.insertions(), 2u);
+    const auto all = cache.insertedSince(0);
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0].first, "b");
+    EXPECT_EQ(all[0].second.ms(), 2.0);
+    EXPECT_EQ(all[1].first, "a");
+
+    // "a" is now the least recent and is evicted: what is gone is not
+    // listed, and a cursor taken before clear() stays valid after it.
+    EXPECT_TRUE(cache.insert("c", FitnessResult::pass(3.0)));
+    const auto since = cache.insertedSince(1);
+    ASSERT_EQ(since.size(), 1u);
+    EXPECT_EQ(since[0].first, "c");
+    EXPECT_TRUE(cache.insertedSince(3).empty());
+    cache.clear();
+    EXPECT_EQ(cache.insertions(), 3u);
+    cache.insert("d", FitnessResult::pass(4.0));
+    ASSERT_EQ(cache.insertedSince(3).size(), 1u);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+}
+
 TEST(VariantCache, ConcurrentInsertLookup)
 {
     VariantCache cache(8);

@@ -359,6 +359,32 @@ TEST(FarmMessages, V2EvalFramesArePinned)
               "f43f0000000000005840555555555555d53f01000000720100030000006b0079");
 }
 
+TEST(FarmMessages, SyncRoundTripsAndRejectsEveryTruncation)
+{
+    std::vector<ProgramEntry> entries = {
+        {std::string("a\0b", 3), core::FitnessResult::pass(2.5, 8.0, 1.0)},
+        {"", core::FitnessResult::fail("wrong output")},
+    };
+    const std::string payload = encodeSync(entries);
+    EXPECT_EQ(payloadType(payload), MsgType::Sync);
+    std::vector<ProgramEntry> out;
+    ASSERT_TRUE(decodeSync(payload, &out));
+    ASSERT_EQ(out.size(), entries.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i].first, entries[i].first);
+        EXPECT_EQ(out[i].second.valid, entries[i].second.valid);
+        EXPECT_EQ(out[i].second.objectives, entries[i].second.objectives);
+        EXPECT_EQ(out[i].second.failReason, entries[i].second.failReason);
+    }
+    for (std::size_t cut = 0; cut < payload.size(); ++cut)
+        EXPECT_FALSE(decodeSync(payload.substr(0, cut), &out)) << cut;
+    EXPECT_FALSE(decodeSync(payload + 'x', &out));
+    EXPECT_FALSE(decodeSync(encodePing(1), &out));
+
+    ASSERT_TRUE(decodeSync(encodeSync({}), &out));
+    EXPECT_TRUE(out.empty());
+}
+
 TEST(FarmMessages, DecoderRejectsWrongMessageType)
 {
     HelloMsg hello;
@@ -421,6 +447,7 @@ class SessionHarness {
 
     int fd() const { return clientFd_; }
     std::uint64_t scope() const { return scope_; }
+    const core::VariantCompiler& compiler() const { return compiler_; }
     const WorkerSession& session() const { return session_; }
 
     void
@@ -506,6 +533,33 @@ TEST(FarmHandshake, MatchingScopeIsAcceptedAndServesEvals)
     harness.send(encodePing(31337));
     ASSERT_TRUE(decodePong(harness.receive(), &nonce));
     EXPECT_EQ(nonce, 31337u);
+}
+
+/// A Sync frame's entries land in the session's cache before the next
+/// request is served, and a cache hit still reports its program key.
+TEST(FarmHandshake, SyncedEntriesServeTheNextRequest)
+{
+    SessionHarness harness;
+    HelloMsg hello;
+    hello.scope = harness.scope();
+    harness.send(encodeHello(hello));
+    ASSERT_EQ(payloadType(harness.receive()), MsgType::HelloOk);
+
+    // The baseline's program, synced with a value the toy fitness never
+    // computes: a reply carrying it was served from the synced entry.
+    const std::string key = harness.compiler().compile({}).programs.contentKey();
+    const std::vector<ProgramEntry> synced = {
+        {key, core::FitnessResult::pass(7.0)}};
+    harness.send(encodeSync(synced));
+    EvalRequest req;
+    req.seq = 1;
+    req.useCache = true;
+    harness.send(encodeEvalRequest(req));
+    EvalReply reply;
+    ASSERT_TRUE(decodeEvalReply(harness.receive(), &reply));
+    EXPECT_FALSE(reply.outcome.simulated);
+    EXPECT_EQ(reply.outcome.result.ms(), 7.0);
+    EXPECT_EQ(reply.programKey, key);
 }
 
 TEST(FarmHandshake, WrongScopeIsRejected)
