@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "support/logging.h"
 #include "support/strings.h"
 
 namespace gevo::core {
@@ -12,8 +13,8 @@ constexpr FileFormat kFormat{"GEVOCKPT", kCheckpointVersion, "checkpoint",
                              "saved by a trajectory-incompatible search "
                              "(different workload, seed or parameters)"};
 
-/// Smallest encodings, for Reader::fits before sizing from a count:
-/// an Individual is an empty edit string + an empty FitnessResult + the
+/// Smallest encodings, for Reader::list before sizing from a count:
+/// an Individual is an empty edit list + an empty FitnessResult + the
 /// evaluated flag; a SamplerConfig is seven doubles.
 constexpr std::size_t kMinIndividual = 4 + (1 + 4 + 4) + 1;
 constexpr std::size_t kSamplerConfigBytes = 7 * 8;
@@ -23,7 +24,7 @@ constexpr std::size_t kSamplerConfigBytes = 7 * 8;
 void
 appendIndividual(std::string* out, const Individual& ind)
 {
-    appendString(out, mut::serializeEdits(ind.edits));
+    appendEdits(out, ind.edits);
     appendFitness(out, ind.fitness);
     out->push_back(ind.evaluated ? 1 : 0);
 }
@@ -55,7 +56,7 @@ appendLog(std::string* out, const GenerationLog& log)
     appendLeU64(out, log.protocolErrors);
     appendLeU64(out, log.quarantineHits);
     appendLeU64(out, log.paretoFrontSize);
-    appendString(out, mut::serializeEdits(log.bestEdits));
+    appendEdits(out, log.bestEdits);
     appendLeU32(out, static_cast<std::uint32_t>(log.islandBestMs.size()));
     for (const double ms : log.islandBestMs)
         appendDouble(out, ms);
@@ -69,9 +70,8 @@ appendLog(std::string* out, const GenerationLog& log)
 bool
 parseIndividual(Reader* in, Individual* out)
 {
-    std::string edits;
-    return in->str(&edits) && mut::deserializeEdits(edits, &out->edits) &&
-           readFitness(in, &out->fitness) && in->flag(&out->evaluated);
+    return readEdits(in, &out->edits) && readFitness(in, &out->fitness) &&
+           in->flag(&out->evaluated);
 }
 
 bool
@@ -86,7 +86,6 @@ parseSamplerConfig(Reader* in, mut::SamplerConfig* out)
 bool
 parseLog(Reader* in, GenerationLog* out)
 {
-    std::string edits;
     std::size_t islandCount = 0;
     std::size_t ratesCount = 0;
     return in->u32(&out->generation) && in->f64(&out->bestMs) &&
@@ -95,9 +94,8 @@ parseLog(Reader* in, GenerationLog* out)
            in->size(&out->cacheMisses) && in->size(&out->workerCrashes) &&
            in->size(&out->workerTimeouts) && in->size(&out->protocolErrors) &&
            in->size(&out->quarantineHits) &&
-           in->size(&out->paretoFrontSize) && in->str(&edits) &&
-           mut::deserializeEdits(edits, &out->bestEdits) &&
-           in->count(&islandCount) &&
+           in->size(&out->paretoFrontSize) &&
+           readEdits(in, &out->bestEdits) && in->count(&islandCount) &&
            in->list(islandCount, 8, &out->islandBestMs, &Reader::f64) &&
            in->count(&ratesCount) && ratesCount <= 4096 &&
            in->list(ratesCount, kSamplerConfigBytes, &out->islandRates,
@@ -120,6 +118,60 @@ parseIsland(Reader* in, CheckpointIsland* out)
            parseSamplerConfig(in, &out->candidateRates) &&
            in->flag(&out->ratePending) && in->f64(&out->rateLastBest) &&
            in->done();
+}
+
+/// Both saveCheckpoint forms: every record of \p state but its history,
+/// which comes sealed from \p history.
+bool
+writeCheckpoint(const std::string& path, std::uint64_t scope,
+                const CheckpointState& state,
+                const CheckpointHistory& history, std::string* error)
+{
+    // The records before and after the history; the history records go
+    // between them straight from \p history.
+    std::string head;
+    appendFileHeader(&head, kFormat, scope);
+    appendRecord(&head, [&] {
+        appendLeU32(&head, state.generation);
+        head.push_back(state.finished ? 1 : 0);
+        appendDouble(&head, state.baselineMs);
+        appendLeU64(&head, state.islands.size());
+        appendLeU64(&head, history.size());
+        appendLeU64(&head, state.quarantine.size());
+        appendLeU64(&head, state.paretoFront.size());
+    });
+    appendRecord(&head, [&] { appendIndividual(&head, state.best); });
+    for (const auto& island : state.islands) {
+        appendRecord(&head, [&] {
+            for (const std::uint64_t word : island.rngState)
+                appendLeU64(&head, word);
+            appendDouble(&head, island.bestMs);
+            appendLeU64(&head, island.members.size());
+            for (const auto& member : island.members)
+                appendIndividual(&head, member);
+            appendSamplerConfig(&head, island.rates);
+            appendSamplerConfig(&head, island.candidateRates);
+            head.push_back(island.ratePending ? 1 : 0);
+            appendDouble(&head, island.rateLastBest);
+        });
+    }
+    std::string tail;
+    appendRecord(&tail, [&] {
+        for (const auto& key : state.quarantine)
+            appendString(&tail, key);
+    });
+    appendRecord(&tail, [&] {
+        for (const auto& ind : state.paretoFront)
+            appendIndividual(&tail, ind);
+    });
+
+    return writeFileAtomic(path, [&](std::ostream& file) {
+        for (const std::string_view part :
+             {std::string_view(head), history.records(),
+              std::string_view(tail)})
+            file.write(part.data(),
+                       static_cast<std::streamsize>(part.size()));
+    }, error);
 }
 
 } // namespace
@@ -191,51 +243,32 @@ loadCheckpoint(const std::string& path, std::uint64_t expectedScope)
     return res;
 }
 
+void
+CheckpointHistory::extend(const std::vector<GenerationLog>& history)
+{
+    GEVO_ASSERT(history.size() >= count_, "checkpoint history shrank");
+    for (; count_ < history.size(); ++count_)
+        appendRecord(&records_,
+                     [&] { appendLog(&records_, history[count_]); });
+}
+
 bool
 saveCheckpoint(const std::string& path, std::uint64_t scope,
                const CheckpointState& state, std::string* error)
 {
-    std::string out;
-    appendFileHeader(&out, kFormat, scope);
+    CheckpointHistory history;
+    history.extend(state.history);
+    return writeCheckpoint(path, scope, state, history, error);
+}
 
-    appendRecord(&out, [&] {
-        appendLeU32(&out, state.generation);
-        out.push_back(state.finished ? 1 : 0);
-        appendDouble(&out, state.baselineMs);
-        appendLeU64(&out, state.islands.size());
-        appendLeU64(&out, state.history.size());
-        appendLeU64(&out, state.quarantine.size());
-        appendLeU64(&out, state.paretoFront.size());
-    });
-    appendRecord(&out, [&] { appendIndividual(&out, state.best); });
-    for (const auto& island : state.islands) {
-        appendRecord(&out, [&] {
-            for (const std::uint64_t word : island.rngState)
-                appendLeU64(&out, word);
-            appendDouble(&out, island.bestMs);
-            appendLeU64(&out, island.members.size());
-            for (const auto& member : island.members)
-                appendIndividual(&out, member);
-            appendSamplerConfig(&out, island.rates);
-            appendSamplerConfig(&out, island.candidateRates);
-            out.push_back(island.ratePending ? 1 : 0);
-            appendDouble(&out, island.rateLastBest);
-        });
-    }
-    for (const auto& log : state.history)
-        appendRecord(&out, [&] { appendLog(&out, log); });
-    appendRecord(&out, [&] {
-        for (const auto& key : state.quarantine)
-            appendString(&out, key);
-    });
-    appendRecord(&out, [&] {
-        for (const auto& ind : state.paretoFront)
-            appendIndividual(&out, ind);
-    });
-
-    return writeFileAtomic(path, [&](std::ostream& file) {
-        file.write(out.data(), static_cast<std::streamsize>(out.size()));
-    }, error);
+bool
+saveCheckpoint(const std::string& path, std::uint64_t scope,
+               const CheckpointState& state, const CheckpointHistory& history,
+               std::string* error)
+{
+    GEVO_ASSERT(state.history.empty(),
+                "history travels as sealed records, not in the state");
+    return writeCheckpoint(path, scope, state, history, error);
 }
 
 } // namespace gevo::core

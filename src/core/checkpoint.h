@@ -28,6 +28,11 @@
 ///            quarantine, pareto front (exact counts and order fixed
 ///            by meta)
 ///
+/// Edit lists (individuals' genotypes, each history entry's bestEdits)
+/// use core/codec.h's binary edit-list encoding: u32 count, then 35
+/// fixed bytes per edit (kind, opIndex, operand kind, srcUid, dstUid,
+/// operand value, newUid).
+///
 /// The scope fingerprint binds a checkpoint to the search that wrote it:
 /// compiled-baseline content + fitness name + every trajectory-relevant
 /// parameter (population size, operator probabilities, seed, island
@@ -42,6 +47,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/codec.h"
@@ -55,9 +61,11 @@ namespace gevo::core {
 /// self-adaptive operator-rate state and the per-generation islandRates
 /// log field (PR 8); v3 replaced the single fitness scalar with the
 /// objective vector and added the Pareto archive and the per-generation
-/// paretoFrontSize log field. Older versions degrade to a cold start
-/// with a warning.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// paretoFrontSize log field; v4 replaced the text edit lists with the
+/// binary edit-list encoding (35 bytes per edit, up from about 25 of
+/// text, but no formatting or parsing). Older versions degrade to a cold
+/// start with a warning.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// One island's durable state.
 struct CheckpointIsland {
@@ -125,6 +133,32 @@ CheckpointLoadResult loadCheckpoint(const std::string& path,
 /// any, is left intact.
 bool saveCheckpoint(const std::string& path, std::uint64_t scope,
                     const CheckpointState& state,
+                    std::string* error = nullptr);
+
+/// A checkpoint's history records, each encoded and sealed once. The
+/// history only grows during a search, so the engine keeps one of these
+/// across its saves and extends it with the generations logged since the
+/// last one: a save then costs the new generations, not the whole run.
+class CheckpointHistory {
+  public:
+    /// Seal the records of \p history beyond the first size() logs.
+    /// \pre \p history starts with the logs already sealed.
+    void extend(const std::vector<GenerationLog>& history);
+
+    std::size_t size() const { return count_; }
+    std::string_view records() const { return records_; }
+
+  private:
+    std::string records_;
+    std::size_t count_ = 0;
+};
+
+/// saveCheckpoint with the history taken from \p history's sealed
+/// records instead of \p state.history, which must be empty. The file
+/// is byte-identical to a save of \p state holding those logs.
+bool saveCheckpoint(const std::string& path, std::uint64_t scope,
+                    const CheckpointState& state,
+                    const CheckpointHistory& history,
                     std::string* error = nullptr);
 
 } // namespace gevo::core

@@ -11,6 +11,7 @@
 
 #include "core/eval_backend.h"
 #include "core/fitness.h"
+#include "mutation/edit.h"
 #include "support/io.h"
 #include "support/strings.h"
 
@@ -31,19 +32,33 @@ constexpr std::uint32_t kMaxObjectives = 64;
 std::uint32_t
 crc32(const char* data, std::size_t size)
 {
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
+    // Slice-by-8: t[k][b] is the CRC of byte b followed by k zero bytes,
+    // so one step folds eight input bytes with eight table lookups.
+    static const auto t = [] {
+        std::array<std::array<std::uint32_t, 256>, 8> t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
+        }
+        for (std::size_t k = 1; k < 8; ++k) {
+            for (std::size_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
         }
         return t;
     }();
     std::uint32_t crc = 0xffffffffu;
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = readLeU32(data) ^ crc;
+        const std::uint32_t hi = readLeU32(data + 4);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+              t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^
+              t[0][hi >> 24];
+    }
     for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ static_cast<std::uint8_t>(data[i])) & 0xff] ^
+        crc = t[0][(crc ^ static_cast<std::uint8_t>(data[i])) & 0xff] ^
               (crc >> 8);
     return crc ^ 0xffffffffu;
 }
@@ -53,6 +68,67 @@ appendString(std::string* out, std::string_view s)
 {
     appendLeU32(out, static_cast<std::uint32_t>(s.size()));
     out->append(s);
+}
+
+// ---- edit lists ----
+
+void
+appendEditEntries(std::string* out, const std::vector<mut::Edit>& edits)
+{
+    const std::size_t start = out->size();
+    out->resize(start + edits.size() * kEditBytes);
+    char* p = out->data() + start;
+    for (const auto& e : edits) {
+        p[0] = static_cast<char>(e.kind);
+        p[1] = static_cast<char>(e.opIndex);
+        p[2] = static_cast<char>(e.newOperand.kind);
+        storeLeU64(p + 3, e.srcUid);
+        storeLeU64(p + 11, e.dstUid);
+        storeLeU64(p + 19, static_cast<std::uint64_t>(e.newOperand.value));
+        // newUid matters: clone uids are anchor targets for later edits,
+        // so lists differing only in newUid can patch differently.
+        storeLeU64(p + 27, e.newUid);
+        p += kEditBytes;
+    }
+}
+
+void
+appendEdits(std::string* out, const std::vector<mut::Edit>& edits)
+{
+    appendLeU32(out, static_cast<std::uint32_t>(edits.size()));
+    appendEditEntries(out, edits);
+}
+
+namespace {
+
+bool
+readEdit(Reader* in, mut::Edit* e)
+{
+    const char* p = nullptr;
+    if (!in->bytes(kEditBytes, &p))
+        return false;
+    const auto kind = static_cast<std::uint8_t>(p[0]);
+    const auto operandKind = static_cast<std::uint8_t>(p[2]);
+    if (kind > static_cast<std::uint8_t>(mut::EditKind::OperandReplace) ||
+        operandKind > static_cast<std::uint8_t>(ir::Operand::Kind::Label))
+        return false;
+    e->kind = static_cast<mut::EditKind>(kind);
+    e->opIndex = static_cast<std::int8_t>(p[1]);
+    e->newOperand.kind = static_cast<ir::Operand::Kind>(operandKind);
+    e->srcUid = readLeU64(p + 3);
+    e->dstUid = readLeU64(p + 11);
+    e->newOperand.value = static_cast<std::int64_t>(readLeU64(p + 19));
+    e->newUid = readLeU64(p + 27);
+    return true;
+}
+
+} // namespace
+
+bool
+readEdits(Reader* in, std::vector<mut::Edit>* out)
+{
+    std::size_t n = 0;
+    return in->count(&n) && in->list(n, kEditBytes, out, readEdit);
 }
 
 // ---- result codecs ----

@@ -6,6 +6,10 @@
 /// decimal rendering would fork it).
 ///
 ///   string         u32 len | bytes
+///   edit           u8 kind | i8 opIndex | u8 operand kind | u64 srcUid
+///                  | u64 dstUid | i64 operand value | u64 newUid
+///                  (35 bytes; VariantCache::keyOf is these, uncounted)
+///   edit list      u32 n | n x edit
 ///   FitnessResult  u8 valid | u32 n | n x f64 bits | string reason
 ///   EvalOutcome    FitnessResult | u8 simulated | u8 rejected
 ///                  | string programKey
@@ -32,6 +36,10 @@
 #include <sys/types.h>
 
 #include "support/bytes.h"
+
+namespace gevo::mut {
+struct Edit;
+} // namespace gevo::mut
 
 namespace gevo::core {
 
@@ -89,6 +97,11 @@ class Reader {
         out->assign(p_ - n, n);
         return true;
     }
+    /// The next \p n raw bytes, in place.
+    bool bytes(std::size_t n, const char** out)
+    {
+        return take(n) && (*out = p_ - n, true);
+    }
 
     /// A u32 element count.
     bool count(std::size_t* out)
@@ -131,6 +144,20 @@ class Reader {
     const char* p_;
     std::size_t left_;
 };
+
+// ---- edit lists ----
+
+/// Encoded size of one edit.
+inline constexpr std::size_t kEditBytes = 3 + 4 * 8;
+
+/// Append \p edits' fixed-width encodings with no count in front: the
+/// canonical cache key (VariantCache::keyOf).
+void appendEditEntries(std::string* out, const std::vector<mut::Edit>& edits);
+/// Append a counted edit list (checkpoints and the Eval request).
+void appendEdits(std::string* out, const std::vector<mut::Edit>& edits);
+/// Decode a counted edit list; false on overrun, an unknown edit kind or
+/// an unknown operand kind.
+bool readEdits(Reader* in, std::vector<mut::Edit>* out);
 
 // ---- result codecs ----
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "support/bytes.h"
+#include "core/codec.h"
 #include "support/logging.h"
 
 namespace gevo::core {
@@ -55,20 +55,10 @@ VariantCache::VariantCache(std::size_t shardCount, std::size_t maxEntries)
 std::string
 VariantCache::keyOf(const std::vector<mut::Edit>& edits)
 {
-    // 27 bytes per edit: kind, opIndex, operand kind, then three u64s.
+    // The edit-list codec's fixed-width entries (core/codec.h: 35 bytes
+    // per edit), without the count.
     std::string key;
-    key.reserve(edits.size() * 27);
-    for (const auto& e : edits) {
-        key.push_back(static_cast<char>(e.kind));
-        key.push_back(static_cast<char>(e.opIndex));
-        key.push_back(static_cast<char>(e.newOperand.kind));
-        appendLeU64(&key, e.srcUid);
-        appendLeU64(&key, e.dstUid);
-        appendLeI64(&key, e.newOperand.value);
-        // newUid matters: clone uids are anchor targets for later edits,
-        // so lists differing only in newUid can patch differently.
-        appendLeU64(&key, e.newUid);
-    }
+    appendEditEntries(&key, edits);
     return key;
 }
 

@@ -63,10 +63,12 @@ class VariantCache {
     VariantCache(const VariantCache&) = delete;
     VariantCache& operator=(const VariantCache&) = delete;
 
-    /// Canonical content key of \p edits: a byte string encoding every
-    /// semantic field of every edit in order (kind, srcUid, dstUid,
-    /// opIndex, operand, newUid). Injective — distinct lists (including
-    /// reorderings of the same edits) always yield distinct keys.
+    /// Canonical content key of \p edits: core/codec.h's edit-list
+    /// encoding without its count, 35 bytes per edit holding every
+    /// semantic field in order (kind, opIndex, operand kind, srcUid,
+    /// dstUid, operand value, newUid). Injective — distinct lists
+    /// (including reorderings of the same edits) always yield distinct
+    /// keys.
     static std::string keyOf(const std::vector<mut::Edit>& edits);
 
     /// 64-bit FNV-1a of a canonical key (shard selection, diagnostics).

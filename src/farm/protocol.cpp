@@ -48,10 +48,11 @@ std::string
 encodeEvalRequest(const EvalRequest& req)
 {
     std::string p;
+    p.reserve(1 + 8 + 1 + 4 + req.edits.size() * core::kEditBytes);
     p.push_back(static_cast<char>(MsgType::Eval));
     appendLeU64(&p, req.seq);
     p.push_back(req.useCache ? 1 : 0);
-    core::appendString(&p, mut::serializeEdits(req.edits));
+    core::appendEdits(&p, req.edits);
     return p;
 }
 
@@ -131,11 +132,9 @@ bool
 decodeEvalRequest(std::string_view payload, EvalRequest* out)
 {
     Reader c(payload);
-    std::string editsText;
-    if (!expectType(&c, MsgType::Eval) || !c.u64(&out->seq) ||
-        !c.flag(&out->useCache) || !c.str(&editsText) || !c.done())
-        return false;
-    return mut::deserializeEdits(editsText, &out->edits);
+    return expectType(&c, MsgType::Eval) && c.u64(&out->seq) &&
+           c.flag(&out->useCache) && core::readEdits(&c, &out->edits) &&
+           c.done();
 }
 
 bool

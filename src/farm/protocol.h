@@ -35,8 +35,9 @@ namespace gevo::farm {
 
 /// Bumped on any wire-format change; mismatched peers reject at Hello.
 /// v2 replaced EvalReply's single fitness scalar with the objective
-/// vector; v3 added Sync and ships the program key on cache hits too.
-constexpr std::uint32_t kFarmProtocolVersion = 3;
+/// vector; v3 added Sync and ships the program key on cache hits too;
+/// v4 carries the Eval request's edits in the binary edit-list encoding.
+constexpr std::uint32_t kFarmProtocolVersion = 4;
 
 enum class MsgType : std::uint8_t {
     Hello = 1,
@@ -67,9 +68,10 @@ struct HelloMsg {
     std::uint32_t timeoutMs = 0; ///< Client's per-evaluation deadline.
 };
 
-/// Client → worker evaluation request. Edits travel in the textual
-/// serializeEdits encoding (round-trips every field, including assigned
-/// value uids — mutation/edit.h).
+/// Client → worker evaluation request: u64 seq | u8 useCache | edit
+/// list. The edits travel in core/codec.h's binary edit-list encoding
+/// (u32 count, then 35 fixed bytes per edit), which round-trips every
+/// field, the clone uids included.
 struct EvalRequest {
     std::uint64_t seq = 0;  ///< Echoed in the reply; pairs pipelined RPCs.
     bool useCache = false;  ///< False = compile-per-call reference path.

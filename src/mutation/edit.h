@@ -59,7 +59,9 @@ struct Edit {
     std::string toString() const;
 };
 
-/// Serialize an edit list to a line-per-edit text form.
+/// Serialize an edit list to a line-per-edit text form: the byte-pinned
+/// `--dump-history` trajectory format, test pins and diagnostics.
+/// Checkpoints and the farm wire use core/codec.h's binary edit lists.
 std::string serializeEdits(const std::vector<Edit>& edits);
 
 /// Parse the text form back; returns false on malformed input.

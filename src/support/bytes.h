@@ -14,18 +14,35 @@
 
 namespace gevo {
 
+/// Store \p v little-endian at \p p. \pre 4/8 writable bytes at \p p.
+inline void
+storeLeU32(char* p, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+inline void
+storeLeU64(char* p, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 inline void
 appendLeU32(std::string* out, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    char b[4];
+    storeLeU32(b, v);
+    out->append(b, 4);
 }
 
 inline void
 appendLeU64(std::string* out, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    char b[8];
+    storeLeU64(b, v);
+    out->append(b, 8);
 }
 
 inline void

@@ -21,6 +21,7 @@
 #include "sim/device_memory.h"
 #include "sim/executor.h"
 #include "sim/program.h"
+#include "support/bytes.h"
 
 namespace gevo::core {
 namespace {
@@ -90,13 +91,20 @@ tmpPath(const std::string& name)
     return path;
 }
 
+/// The file's bytes, or "" when it cannot be read.
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 std::string
 readFile(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
+    EXPECT_TRUE(std::ifstream(path).good()) << path;
+    return slurp(path);
 }
 
 void
@@ -302,8 +310,8 @@ TEST(Checkpoint, VersionMismatchIsRejected)
 
 TEST(Checkpoint, OlderV2FileDegradesToVersionMismatch)
 {
-    // A pre-objective-vector (v2) checkpoint is not readable by the v3
-    // parser; it must surface as VersionMismatch, which the engine
+    // A pre-objective-vector (v2) checkpoint is not readable by the
+    // current parser; it must surface as VersionMismatch, which the engine
     // turns into a warned cold start instead of a partial restore.
     const auto path = tmpPath("v2");
     ASSERT_TRUE(saveCheckpoint(path, 42, sampleState()));
@@ -407,6 +415,32 @@ TEST(Checkpoint, HugeCountInACrcValidRecordIsCorruptNotAnAllocation)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, HugeEditCountInACrcValidRecordIsCorruptNotAnAllocation)
+{
+    // The best individual's record starts with its edit-list count.
+    CheckpointState st;
+    st.best.edits.resize(2);
+    const auto path = tmpPath("hugeedits");
+    ASSERT_TRUE(saveCheckpoint(path, 42, st));
+    auto bytes = readFile(path);
+
+    std::size_t pos = 20; // magic + version + scope.
+    pos += 8 + readLeU32(bytes.data() + pos); // Skip the meta record.
+    const std::uint32_t len = readLeU32(bytes.data() + pos);
+    char* payload = bytes.data() + pos + 8;
+    ASSERT_EQ(readLeU32(payload), 2u);
+    storeLeU32(payload, 0xfffffff0u);
+    storeLeU32(bytes.data() + pos + 4, crc32(payload, len));
+    writeFile(path, bytes);
+
+    CheckpointLoadResult load;
+    EXPECT_NO_THROW(load = loadCheckpoint(path, 42));
+    EXPECT_EQ(load.status, CheckpointLoadResult::Status::Corrupt);
+    EXPECT_NE(load.message.find("best-individual"), std::string::npos)
+        << load.message;
+    std::remove(path.c_str());
+}
+
 std::string
 toHex(const std::string& bytes)
 {
@@ -419,74 +453,164 @@ toHex(const std::string& bytes)
     return out;
 }
 
-TEST(Checkpoint, V3BytesArePinned)
+/// sampleState() under scope 0x0123456789abcdef as format v3 wrote it
+/// (text edit lists): the pin of the previous format, kept so that a v3
+/// file keeps degrading to a warned cold start.
+const char* const kV3SampleHex =
+    // header
+    "4745564f434b505403000000efcdab8967452301"
+    // meta
+    "2d0000009666f96d070000000000000000008029400200000000000000020000"
+    "000000000002000000000000000200000000000000"
+    // best individual
+    "3b0000009e2f14711500000064656c6574652034322030202d31206e20302030"
+    "0a01030000000000000000000c40000000000000584000000000000000400000"
+    "000001"
+    // island 0
+    "470100004095bb51010000000000000002000000000000000300000000000000"
+    "04000000000000000000000000000c4003000000000000002800000064656c65"
+    "74652034322030202d31206e203020300a6f707265706c203920302031206920"
+    "3320300a01030000000000000000000c40000000000000584000000000000000"
+    "400000000001130000006f707265706c2039203020312069203320300a000000"
+    "00000c00000077726f6e67206f7574707574011500000064656c657465203432"
+    "2030202d31206e203020300a000000000000000000009a9999999999c93fb81e"
+    "85eb51b8be3f7b14ae47e17ab43f9a9999999999b93f000000000000e83fe17a"
+    "14ae47e1da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14"
+    "ae47e17ab43f9a9999999999b93f000000000000f83fe17a14ae47e1da3f0000"
+    "00000000b03f010000000000000a40"
+    // island 1
+    "24010000e9100507ffffffffffffffff05000000000000000600000000000000"
+    "070000000000000000000000000010400200000000000000130000006f707265"
+    "706c2039203020312069203320300a00000000000c00000077726f6e67206f75"
+    "74707574012800000064656c6574652034322030202d31206e203020300a6f70"
+    "7265706c2039203020312069203320300a01030000000000000000000c400000"
+    "000000005840000000000000004000000000019a9999999999c93fb81e85eb51"
+    "b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47"
+    "e1da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae47e1"
+    "7ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f0000000000"
+    "00d03f000000000000000000"
+    // history 0
+    "fd00000015a09766060000000000000000000c40000000000000154003000000"
+    "0000000004000000000000000100000000000000030000000000000001000000"
+    "0000000000000000000000000000000000000000020000000000000002000000"
+    "000000001500000064656c6574652034322030202d31206e203020300a020000"
+    "000000000000000c40000000000000104002000000000000000000e03fb81e85"
+    "eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43f000000"
+    "000000c03f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae"
+    "47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f000000"
+    "000000d03f"
+    // history 1
+    "fd0000000f692fb2070000000000000000000c40000000000000154003000000"
+    "0000000004000000000000000100000000000000030000000000000001000000"
+    "0000000000000000000000000000000000000000020000000000000002000000"
+    "000000001500000064656c6574652034322030202d31206e203020300a020000"
+    "000000000000000c40000000000000104002000000000000000000e03fb81e85"
+    "eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43f000000"
+    "000000c03f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae"
+    "47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f000000"
+    "000000d03f"
+    // quarantine
+    "140000006c91f0c40700000062696e006b657905000000706c61696e"
+    // pareto front
+    "87000000c7e0a87b2800000064656c6574652034322030202d31206e20302030"
+    "0a6f707265706c2039203020312069203320300a01030000000000000000000c"
+    "40000000000000584000000000000000400000000001130000006f707265706c"
+    "2039203020312069203320300a01030000000000000000001040000000000000"
+    "5440000000000000f03f0000000001";
+
+std::string
+fromHex(const std::string& hex)
+{
+    std::string out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(
+            static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+TEST(Checkpoint, V4BytesArePinned)
 {
     // Format stability, not just round trips: a checkpoint written by
-    // any build of format v3 must be byte-identical to this capture, or
+    // any build of format v4 must be byte-identical to this capture, or
     // an old file would silently stop resuming.
     const auto path = tmpPath("golden");
     ASSERT_TRUE(saveCheckpoint(path, 0x0123456789abcdefull, sampleState()));
     EXPECT_EQ(toHex(readFile(path)),
         // header
-        "4745564f434b505403000000efcdab8967452301"
+        "4745564f434b505404000000efcdab8967452301"
         // meta
         "2d0000009666f96d070000000000000000008029400200000000000000020000"
         "000000000002000000000000000200000000000000"
         // best individual
-        "3b0000009e2f14711500000064656c6574652034322030202d31206e20302030"
-        "0a01030000000000000000000c40000000000000584000000000000000400000"
-        "000001"
+        "490000000f1ce3b90100000000ff002a00000000000000000000000000000000"
+        "00000000000000000000000000000001030000000000000000000c4000000000"
+        "0000584000000000000000400000000001"
         // island 0
-        "470100004095bb51010000000000000002000000000000000300000000000000"
-        "04000000000000000000000000000c4003000000000000002800000064656c65"
-        "74652034322030202d31206e203020300a6f707265706c203920302031206920"
-        "3320300a01030000000000000000000c40000000000000584000000000000000"
-        "400000000001130000006f707265706c2039203020312069203320300a000000"
-        "00000c00000077726f6e67206f7574707574011500000064656c657465203432"
-        "2030202d31206e203020300a000000000000000000009a9999999999c93fb81e"
-        "85eb51b8be3f7b14ae47e17ab43f9a9999999999b93f000000000000e83fe17a"
-        "14ae47e1da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14"
-        "ae47e17ab43f9a9999999999b93f000000000000f83fe17a14ae47e1da3f0000"
-        "00000000b03f010000000000000a40"
+        "83010000afd357bd010000000000000002000000000000000300000000000000"
+        "04000000000000000000000000000c4003000000000000000200000000ff002a"
+        "0000000000000000000000000000000000000000000000000000000000000005"
+        "0102090000000000000000000000000000000300000000000000000000000000"
+        "000001030000000000000000000c400000000000005840000000000000004000"
+        "0000000101000000050102090000000000000000000000000000000300000000"
+        "000000000000000000000000000000000c00000077726f6e67206f7574707574"
+        "010100000000ff002a0000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000009a9999999999c93fb81e85eb51b8"
+        "be3f7b14ae47e17ab43f9a9999999999b93f000000000000e83fe17a14ae47e1"
+        "da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae47e17a"
+        "b43f9a9999999999b93f000000000000f83fe17a14ae47e1da3f000000000000"
+        "b03f010000000000000a40"
         // island 1
-        "24010000e9100507ffffffffffffffff05000000000000000600000000000000"
-        "070000000000000000000000000010400200000000000000130000006f707265"
-        "706c2039203020312069203320300a00000000000c00000077726f6e67206f75"
-        "74707574012800000064656c6574652034322030202d31206e203020300a6f70"
-        "7265706c2039203020312069203320300a01030000000000000000000c400000"
-        "000000005840000000000000004000000000019a9999999999c93fb81e85eb51"
-        "b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47"
-        "e1da3f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae47e1"
-        "7ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f0000000000"
-        "00d03f000000000000000000"
+        "52010000025a1993ffffffffffffffff05000000000000000600000000000000"
+        "0700000000000000000000000000104002000000000000000100000005010209"
+        "0000000000000000000000000000000300000000000000000000000000000000"
+        "000000000c00000077726f6e67206f7574707574010200000000ff002a000000"
+        "0000000000000000000000000000000000000000000000000000000005010209"
+        "0000000000000000000000000000000300000000000000000000000000000001"
+        "030000000000000000000c400000000000005840000000000000004000000000"
+        "019a9999999999c93fb81e85eb51b8be3f7b14ae47e17ab43f9a9999999999b9"
+        "3f7b14ae47e17ab43fe17a14ae47e1da3f000000000000d03f9a9999999999c9"
+        "3fb81e85eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab4"
+        "3fe17a14ae47e1da3f000000000000d03f000000000000000000"
         // history 0
-        "fd00000015a09766060000000000000000000c40000000000000154003000000"
+        "0b010000ef7d4640060000000000000000000c40000000000000154003000000"
         "0000000004000000000000000100000000000000030000000000000001000000"
         "0000000000000000000000000000000000000000020000000000000002000000"
-        "000000001500000064656c6574652034322030202d31206e203020300a020000"
-        "000000000000000c40000000000000104002000000000000000000e03fb81e85"
-        "eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43f000000"
-        "000000c03f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae"
-        "47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f000000"
-        "000000d03f"
+        "000000000100000000ff002a0000000000000000000000000000000000000000"
+        "0000000000000000000000020000000000000000000c40000000000000104002"
+        "000000000000000000e03fb81e85eb51b8be3f7b14ae47e17ab43f9a99999999"
+        "99b93f7b14ae47e17ab43f000000000000c03f000000000000d03f9a99999999"
+        "99c93fb81e85eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e1"
+        "7ab43fe17a14ae47e1da3f000000000000d03f"
         // history 1
-        "fd0000000f692fb2070000000000000000000c40000000000000154003000000"
+        "0b0100006f91d5a3070000000000000000000c40000000000000154003000000"
         "0000000004000000000000000100000000000000030000000000000001000000"
         "0000000000000000000000000000000000000000020000000000000002000000"
-        "000000001500000064656c6574652034322030202d31206e203020300a020000"
-        "000000000000000c40000000000000104002000000000000000000e03fb81e85"
-        "eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e17ab43f000000"
-        "000000c03f000000000000d03f9a9999999999c93fb81e85eb51b8be3f7b14ae"
-        "47e17ab43f9a9999999999b93f7b14ae47e17ab43fe17a14ae47e1da3f000000"
-        "000000d03f"
+        "000000000100000000ff002a0000000000000000000000000000000000000000"
+        "0000000000000000000000020000000000000000000c40000000000000104002"
+        "000000000000000000e03fb81e85eb51b8be3f7b14ae47e17ab43f9a99999999"
+        "99b93f7b14ae47e17ab43f000000000000c03f000000000000d03f9a99999999"
+        "99c93fb81e85eb51b8be3f7b14ae47e17ab43f9a9999999999b93f7b14ae47e1"
+        "7ab43fe17a14ae47e1da3f000000000000d03f"
         // quarantine
         "140000006c91f0c40700000062696e006b657905000000706c61696e"
         // pareto front
-        "87000000c7e0a87b2800000064656c6574652034322030202d31206e20302030"
-        "0a6f707265706c2039203020312069203320300a01030000000000000000000c"
-        "40000000000000584000000000000000400000000001130000006f707265706c"
-        "2039203020312069203320300a01030000000000000000001040000000000000"
-        "5440000000000000f03f0000000001");
+        "b5000000dbaaf3060200000000ff002a00000000000000000000000000000000"
+        "0000000000000000000000000000000501020900000000000000000000000000"
+        "00000300000000000000000000000000000001030000000000000000000c4000"
+        "0000000000584000000000000000400000000001010000000501020900000000"
+        "0000000000000000000000030000000000000000000000000000000103000000"
+        "00000000000010400000000000005440000000000000f03f0000000001");
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, V3FileIsAVersionMismatch)
+{
+    const auto path = tmpPath("v3");
+    writeFile(path, fromHex(kV3SampleHex));
+    const auto load = loadCheckpoint(path, 0x0123456789abcdefull);
+    EXPECT_EQ(load.status, CheckpointLoadResult::Status::VersionMismatch);
+    EXPECT_NE(load.message.find("format version 3"), std::string::npos)
+        << load.message;
     std::remove(path.c_str());
 }
 
@@ -514,6 +638,58 @@ expectSameTrajectory(const SearchResult& a, const SearchResult& b)
     EXPECT_EQ(mut::serializeEdits(a.best.edits),
               mut::serializeEdits(b.best.edits));
     EXPECT_EQ(a.best.fitness.ms(), b.best.fitness.ms());
+}
+
+/// The engine writes its history records once and reuses them; the file
+/// must still be exactly what a from-scratch saveCheckpoint writes for
+/// the state loaded from it, with the history the engine has logged.
+::testing::AssertionResult
+checkpointIsCanonical(const std::string& path,
+                      const std::vector<GenerationLog>& logged)
+{
+    const std::string bytes = slurp(path);
+    if (bytes.size() < kFileHeaderSize)
+        return ::testing::AssertionFailure() << "no checkpoint file";
+    const std::uint64_t scope = readLeU64(bytes.data() + 12);
+    auto load = loadCheckpoint(path, scope);
+    if (!load.usable())
+        return ::testing::AssertionFailure() << load.message;
+    const auto fresh = path + ".fresh";
+    auto freshBytes = [&] {
+        saveCheckpoint(fresh, scope, load.state);
+        return slurp(fresh);
+    };
+    const bool sameAsFresh = freshBytes() == bytes;
+    const std::size_t n = load.state.history.size();
+    const bool ownHistory = n <= logged.size();
+    if (ownHistory)
+        load.state.history.assign(logged.begin(), logged.begin() + n);
+    const bool sameLogs = ownHistory && freshBytes() == bytes;
+    std::remove(fresh.c_str());
+    if (!sameAsFresh)
+        return ::testing::AssertionFailure()
+               << "differs from a fresh save of its own state";
+    if (!sameLogs)
+        return ::testing::AssertionFailure()
+               << "its " << n << " history records are not the first of "
+               << logged.size() << " logged generations";
+    return ::testing::AssertionSuccess();
+}
+
+/// A callback checking, at every generation after \p firstGen, the file
+/// the previous generation's save left.
+EvolutionEngine::GenerationCallback
+checkEveryGeneration(const std::string& path, std::uint32_t firstGen,
+                     bool exitOnFailure = false)
+{
+    return [=](const GenerationLog& log, const SearchResult& result) {
+        if (log.generation <= firstGen)
+            return;
+        const auto ok = checkpointIsCanonical(path, result.history);
+        if (exitOnFailure && !ok)
+            std::_Exit(2);
+        EXPECT_TRUE(ok) << "generation " << log.generation;
+    };
 }
 
 EvolutionParams
@@ -556,10 +732,14 @@ TEST(CheckpointEngine, AbruptDeathThenResumeIsBitIdentical)
             const pid_t pid = ::fork();
             ASSERT_GE(pid, 0);
             if (pid == 0) {
-                // Child: die abruptly after generation 5's checkpoint.
+                // Child: die abruptly after generation 5's checkpoint,
+                // having checked every checkpoint it wrote (exit 2 if
+                // one is off).
                 EvolutionEngine child(mod, fitness, params);
-                child.run([](const GenerationLog& log,
-                             const SearchResult&) {
+                const auto check = checkEveryGeneration(path, 1, true);
+                child.run([&](const GenerationLog& log,
+                              const SearchResult& result) {
+                    check(log, result);
                     if (log.generation == 6)
                         std::_Exit(0);
                 });
@@ -567,12 +747,14 @@ TEST(CheckpointEngine, AbruptDeathThenResumeIsBitIdentical)
             }
             int status = 0;
             ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-            ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+            ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+                << "child exit status " << WEXITSTATUS(status);
 
             params.resume = true;
-            const auto resumed =
-                EvolutionEngine(mod, fitness, params).run();
+            const auto resumed = EvolutionEngine(mod, fitness, params)
+                                     .run(checkEveryGeneration(path, 0));
             expectSameTrajectory(reference, resumed);
+            EXPECT_TRUE(checkpointIsCanonical(path, resumed.history));
             std::remove(path.c_str());
         }
     }
@@ -598,9 +780,11 @@ TEST(CheckpointEngine, GracefulStopThenResumeIsBitIdentical)
     EXPECT_EQ(partial.history.size(), 4u);
 
     params.resume = true;
-    const auto resumed = EvolutionEngine(mod, fitness, params).run();
+    const auto resumed = EvolutionEngine(mod, fitness, params)
+                             .run(checkEveryGeneration(path, 0));
     EXPECT_FALSE(resumed.interrupted);
     expectSameTrajectory(reference, resumed);
+    EXPECT_TRUE(checkpointIsCanonical(path, resumed.history));
     std::remove(path.c_str());
 }
 
@@ -613,18 +797,32 @@ TEST(CheckpointEngine, ResumeExtendsAFinishedRun)
 
     const auto path = tmpPath("extend");
     params.checkpointPath = path;
+    params.checkpointInterval = 1;
     params.generations = 5;
-    (void)EvolutionEngine(mod, fitness, params).run();
+    const auto first = EvolutionEngine(mod, fitness, params)
+                           .run(checkEveryGeneration(path, 1));
+    EXPECT_TRUE(checkpointIsCanonical(path, first.history));
+    const auto fiveGenerations = readFile(path);
 
     params.generations = 8;
     params.resume = true;
-    const auto extended = EvolutionEngine(mod, fitness, params).run();
+    EvolutionEngine extender(mod, fitness, params);
+    const auto extended = extender.run(checkEveryGeneration(path, 0));
     expectSameTrajectory(reference, extended);
+    EXPECT_TRUE(checkpointIsCanonical(path, extended.history));
 
     // Resuming a run that already covers the budget is a no-op that
     // returns the stored state.
     const auto again = EvolutionEngine(mod, fitness, params).run();
     expectSameTrajectory(reference, again);
+    EXPECT_TRUE(checkpointIsCanonical(path, again.history));
+
+    // The same engine resuming again from the 5-generation file: no
+    // record sealed by its first run may reach this run's saves.
+    writeFile(path, fiveGenerations);
+    const auto rerun = extender.run(checkEveryGeneration(path, 0));
+    expectSameTrajectory(reference, rerun);
+    EXPECT_TRUE(checkpointIsCanonical(path, rerun.history));
     std::remove(path.c_str());
 }
 
@@ -646,6 +844,27 @@ TEST(CheckpointEngine, DamagedCheckpointDegradesToColdStart)
     writeFile(path, full.substr(0, full.size() / 2));
     params.resume = true;
     const auto cold = EvolutionEngine(mod, fitness, params).run();
+    expectSameTrajectory(reference, cold);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointEngine, V3CheckpointDegradesToAWarnedColdStart)
+{
+    const auto mod = toyModule();
+    ToyFitness fitness;
+    auto params = resumeParams(2, true);
+    const auto reference = EvolutionEngine(mod, fitness, params).run();
+
+    const auto path = tmpPath("v3resume");
+    writeFile(path, fromHex(kV3SampleHex));
+    params.checkpointPath = path;
+    params.resume = true;
+    ::testing::internal::CaptureStderr();
+    const auto cold = EvolutionEngine(mod, fitness, params).run();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("ignoring checkpoint"), std::string::npos) << log;
+    EXPECT_NE(log.find("format version 3, expected 4"), std::string::npos)
+        << log;
     expectSameTrajectory(reference, cold);
     std::remove(path.c_str());
 }

@@ -331,10 +331,12 @@ toHex(std::string_view bytes)
     return out;
 }
 
-TEST(FarmMessages, V2EvalFramesArePinned)
+TEST(FarmMessages, EvalFramesArePinned)
 {
-    // Format stability, not just round trips: peers of protocol v2 built
-    // from any revision must agree on these exact frames.
+    // Format stability, not just round trips: peers of one protocol
+    // version built from any revision must agree on these exact frames.
+    // The request is v4's (binary edit list); the reply is unchanged
+    // since v2.
     EvalRequest req;
     req.seq = 0x0102030405060708ull;
     req.useCache = true;
@@ -345,8 +347,8 @@ TEST(FarmMessages, V2EvalFramesArePinned)
     copy.newUid = 1234;
     req.edits = {copy};
     EXPECT_EQ(toHex(frame(encodeEvalRequest(req))),
-              "47455652230000001f0774c90408070605040302010115000000636f70792033"
-              "2039202d31206e203020313233340a");
+              "4745565231000000bd6ca270040807060504030201010100000001ff000300"
+              "00000000000009000000000000000000000000000000d204000000000000");
 
     EvalReply reply;
     reply.seq = 42;
