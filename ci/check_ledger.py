@@ -6,8 +6,8 @@ usage: python3 ci/check_ledger.py [BENCH_gevobench.json [BENCHMARK.json]]
 Every section of the ledger that holds paired runs (each workload under
 "workloads" and under each entry of "rounds", and the "holdout" and
 "traced" sections when they have the same shape) carries `per_pair`
-lists of [parent, change] values and a `metrics` summary. For every summarised metric this recomputes, from the
-lists alone:
+lists of [parent, change] values and a `metrics` summary. For every
+summarised metric this recomputes, from the lists alone:
 
 - each side's median and quartiles (linear interpolation between order
   statistics, as statistics.quantiles(method="inclusive") does);

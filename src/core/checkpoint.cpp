@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "support/logging.h"
 #include "support/strings.h"
 
 namespace gevo::core {
@@ -120,60 +119,6 @@ parseIsland(Reader* in, CheckpointIsland* out)
            in->done();
 }
 
-/// Both saveCheckpoint forms: every record of \p state but its history,
-/// which comes sealed from \p history.
-bool
-writeCheckpoint(const std::string& path, std::uint64_t scope,
-                const CheckpointState& state,
-                const CheckpointHistory& history, std::string* error)
-{
-    // The records before and after the history; the history records go
-    // between them straight from \p history.
-    std::string head;
-    appendFileHeader(&head, kFormat, scope);
-    appendRecord(&head, [&] {
-        appendLeU32(&head, state.generation);
-        head.push_back(state.finished ? 1 : 0);
-        appendDouble(&head, state.baselineMs);
-        appendLeU64(&head, state.islands.size());
-        appendLeU64(&head, history.size());
-        appendLeU64(&head, state.quarantine.size());
-        appendLeU64(&head, state.paretoFront.size());
-    });
-    appendRecord(&head, [&] { appendIndividual(&head, state.best); });
-    for (const auto& island : state.islands) {
-        appendRecord(&head, [&] {
-            for (const std::uint64_t word : island.rngState)
-                appendLeU64(&head, word);
-            appendDouble(&head, island.bestMs);
-            appendLeU64(&head, island.members.size());
-            for (const auto& member : island.members)
-                appendIndividual(&head, member);
-            appendSamplerConfig(&head, island.rates);
-            appendSamplerConfig(&head, island.candidateRates);
-            head.push_back(island.ratePending ? 1 : 0);
-            appendDouble(&head, island.rateLastBest);
-        });
-    }
-    std::string tail;
-    appendRecord(&tail, [&] {
-        for (const auto& key : state.quarantine)
-            appendString(&tail, key);
-    });
-    appendRecord(&tail, [&] {
-        for (const auto& ind : state.paretoFront)
-            appendIndividual(&tail, ind);
-    });
-
-    return writeFileAtomic(path, [&](std::ostream& file) {
-        for (const std::string_view part :
-             {std::string_view(head), history.records(),
-              std::string_view(tail)})
-            file.write(part.data(),
-                       static_cast<std::streamsize>(part.size()));
-    }, error);
-}
-
 } // namespace
 
 CheckpointLoadResult
@@ -243,32 +188,51 @@ loadCheckpoint(const std::string& path, std::uint64_t expectedScope)
     return res;
 }
 
-void
-CheckpointHistory::extend(const std::vector<GenerationLog>& history)
-{
-    GEVO_ASSERT(history.size() >= count_, "checkpoint history shrank");
-    for (; count_ < history.size(); ++count_)
-        appendRecord(&records_,
-                     [&] { appendLog(&records_, history[count_]); });
-}
-
 bool
 saveCheckpoint(const std::string& path, std::uint64_t scope,
                const CheckpointState& state, std::string* error)
 {
-    CheckpointHistory history;
-    history.extend(state.history);
-    return writeCheckpoint(path, scope, state, history, error);
-}
+    std::string out;
+    appendFileHeader(&out, kFormat, scope);
 
-bool
-saveCheckpoint(const std::string& path, std::uint64_t scope,
-               const CheckpointState& state, const CheckpointHistory& history,
-               std::string* error)
-{
-    GEVO_ASSERT(state.history.empty(),
-                "history travels as sealed records, not in the state");
-    return writeCheckpoint(path, scope, state, history, error);
+    appendRecord(&out, [&] {
+        appendLeU32(&out, state.generation);
+        out.push_back(state.finished ? 1 : 0);
+        appendDouble(&out, state.baselineMs);
+        appendLeU64(&out, state.islands.size());
+        appendLeU64(&out, state.history.size());
+        appendLeU64(&out, state.quarantine.size());
+        appendLeU64(&out, state.paretoFront.size());
+    });
+    appendRecord(&out, [&] { appendIndividual(&out, state.best); });
+    for (const auto& island : state.islands) {
+        appendRecord(&out, [&] {
+            for (const std::uint64_t word : island.rngState)
+                appendLeU64(&out, word);
+            appendDouble(&out, island.bestMs);
+            appendLeU64(&out, island.members.size());
+            for (const auto& member : island.members)
+                appendIndividual(&out, member);
+            appendSamplerConfig(&out, island.rates);
+            appendSamplerConfig(&out, island.candidateRates);
+            out.push_back(island.ratePending ? 1 : 0);
+            appendDouble(&out, island.rateLastBest);
+        });
+    }
+    for (const auto& log : state.history)
+        appendRecord(&out, [&] { appendLog(&out, log); });
+    appendRecord(&out, [&] {
+        for (const auto& key : state.quarantine)
+            appendString(&out, key);
+    });
+    appendRecord(&out, [&] {
+        for (const auto& ind : state.paretoFront)
+            appendIndividual(&out, ind);
+    });
+
+    return writeFileAtomic(path, [&](std::ostream& file) {
+        file.write(out.data(), static_cast<std::streamsize>(out.size()));
+    }, error);
 }
 
 } // namespace gevo::core

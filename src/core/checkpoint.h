@@ -47,7 +47,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/codec.h"
@@ -133,32 +132,6 @@ CheckpointLoadResult loadCheckpoint(const std::string& path,
 /// any, is left intact.
 bool saveCheckpoint(const std::string& path, std::uint64_t scope,
                     const CheckpointState& state,
-                    std::string* error = nullptr);
-
-/// A checkpoint's history records, each encoded and sealed once. The
-/// history only grows during a search, so the engine keeps one of these
-/// across its saves and extends it with the generations logged since the
-/// last one: a save then costs the new generations, not the whole run.
-class CheckpointHistory {
-  public:
-    /// Seal the records of \p history beyond the first size() logs.
-    /// \pre \p history starts with the logs already sealed.
-    void extend(const std::vector<GenerationLog>& history);
-
-    std::size_t size() const { return count_; }
-    std::string_view records() const { return records_; }
-
-  private:
-    std::string records_;
-    std::size_t count_ = 0;
-};
-
-/// saveCheckpoint with the history taken from \p history's sealed
-/// records instead of \p state.history, which must be empty. The file
-/// is byte-identical to a save of \p state holding those logs.
-bool saveCheckpoint(const std::string& path, std::uint64_t scope,
-                    const CheckpointState& state,
-                    const CheckpointHistory& history,
                     std::string* error = nullptr);
 
 } // namespace gevo::core

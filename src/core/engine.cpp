@@ -448,7 +448,6 @@ EvolutionEngine::updateParetoArchive(const std::vector<Island>& islands)
 void
 EvolutionEngine::saveSearchCheckpoint(const std::vector<Island>& islands,
                                       const SearchResult& result,
-                                      CheckpointHistory* history,
                                       std::uint32_t lastGen,
                                       bool finished) const
 {
@@ -457,7 +456,7 @@ EvolutionEngine::saveSearchCheckpoint(const std::vector<Island>& islands,
     st.finished = finished;
     st.baselineMs = result.baselineMs;
     st.best = result.best;
-    history->extend(result.history);
+    st.history = result.history;
     st.islands.reserve(islands.size());
     for (const auto& island : islands) {
         CheckpointIsland ci;
@@ -475,7 +474,7 @@ EvolutionEngine::saveSearchCheckpoint(const std::vector<Island>& islands,
     st.paretoFront = paretoArchive_;
     std::string error;
     if (!saveCheckpoint(params_.checkpointPath, checkpointScope_, st,
-                        *history, &error))
+                        &error))
         warn("checkpoint save to '%s' failed (%s); continuing without "
              "durability",
              params_.checkpointPath.c_str(), error.c_str());
@@ -529,9 +528,6 @@ EvolutionEngine::run(const GenerationCallback& onGeneration)
     const bool checkpointing = !params_.checkpointPath.empty();
     if (checkpointing)
         checkpointScope_ = checkpointScopeOf(baselineCv, fitness_, params_);
-    // Sealed once per run: a resumed run re-seals the loaded history at
-    // its first save, so nothing sealed by another run can leak in.
-    CheckpointHistory checkpointHistory;
     std::uint32_t startGen = 1;
     bool restored = false;
     if (checkpointing && params_.resume) {
@@ -690,14 +686,13 @@ EvolutionEngine::run(const GenerationCallback& onGeneration)
                 savePersistentCaches();
             if (checkpointing && params_.checkpointInterval > 0 &&
                 gen % params_.checkpointInterval == 0)
-                saveSearchCheckpoint(islands, result, &checkpointHistory,
-                                     gen, false);
+                saveSearchCheckpoint(islands, result, gen, false);
         }
     }
     if (persist)
         savePersistentCaches();
     if (checkpointing)
-        saveSearchCheckpoint(islands, result, &checkpointHistory, lastGen,
+        saveSearchCheckpoint(islands, result, lastGen,
                              !result.interrupted &&
                                  lastGen >= params_.generations);
     for (const auto& log : result.history) {

@@ -36,7 +36,6 @@
 
 namespace gevo::core {
 
-class CheckpointHistory;
 class EvaluationBackend;
 
 /// Per-generation record (drives Figures 6 and 8). With islands > 1 the
@@ -202,11 +201,8 @@ class EvolutionEngine {
 
     /// Snapshot the full search state to params_.checkpointPath
     /// (failure warns and continues — durability never fails a search).
-    /// \p history holds the run's history records sealed by earlier
-    /// saves; this one seals only the generations logged since.
     void saveSearchCheckpoint(const std::vector<Island>& islands,
                               const SearchResult& result,
-                              CheckpointHistory* history,
                               std::uint32_t lastGen, bool finished) const;
 
     /// Load params_.cachePath into both cache levels (cold start on any
