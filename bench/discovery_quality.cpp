@@ -112,7 +112,7 @@ benchWorkload(const core::Workload& workload, const Flags& flags)
     const auto instance = workload.make(config);
 
     // Variability scale (multiple independent runs) rather than the
-    // throughput perf-anchor scale: the comparison needs search room,
+    // bench scale's budget: the comparison needs search room,
     // not peak evaluation rate.
     core::EvolutionParams params = workload.benchDefaults;
     params.generations = static_cast<std::uint32_t>(

@@ -94,7 +94,7 @@ main(int argc, char** argv)
         config.device = dev;
         config.flags = &flags;
         // The figure's historical scale (4 ADEPT pairs; SIMCoV at its
-        // full 32x32 fitness grid) — not the throughput bench's knobs.
+        // full 32x32 fitness grid) — not the bench-scale knobs.
         config.defaults = workload.variabilityKnobs;
         const auto instance = workload.make(config);
 

@@ -105,7 +105,7 @@ makeWorkload(int version)
     // Inert without --cache-path; with one, a killed long run still
     // warm-starts from its last interval.
     w.searchDefaults.cacheSaveInterval = 10;
-    // The ROADMAP perf-anchor configuration (bench/throughput.cpp).
+    // The bench scale (bench/discovery_quality, test_variant_cache).
     w.benchDefaults.populationSize = 12;
     w.benchDefaults.generations = 20;
     w.benchDefaults.elitism = 2;

@@ -95,7 +95,7 @@ registerWorkloads()
     // Inert without --cache-path; with one, a killed long run still
     // warm-starts from its last interval.
     w.searchDefaults.cacheSaveInterval = 10;
-    // The ROADMAP perf-anchor configuration (bench/throughput.cpp).
+    // The bench scale (bench/discovery_quality, test_variant_cache).
     w.benchDefaults.populationSize = 12;
     w.benchDefaults.generations = 8;
     w.benchDefaults.elitism = 2;
@@ -105,7 +105,7 @@ registerWorkloads()
     w.variabilityGens = 6;
     w.variabilityPop = 10;
     // Fig. 6 runs at the workload's own fitness scale (32x32, 16 steps),
-    // not the throughput bench's scaled-down grid.
+    // not the bench scale's scaled-down grid.
     w.variabilityKnobs = {};
     w.make = [](const core::WorkloadConfig& config) {
         return std::unique_ptr<core::WorkloadInstance>(

@@ -143,7 +143,7 @@ struct EvolutionParams {
     /// individual is patched, cleaned, verified, decoded and simulated
     /// every generation. Fitness is deterministic in the edit list, so the
     /// search trajectory is identical either way; the reference path
-    /// exists to benchmark the pipeline against (bench/throughput.cpp).
+    /// exists to count the work the cache saves (test_variant_cache).
     bool useCache = true;
     /// Per-level entry bound for the variant caches (0 = unbounded). When
     /// set, each cache evicts least-recently-used entries beyond the

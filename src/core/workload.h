@@ -6,8 +6,8 @@
 /// instance (base module + fitness function + whatever the fitness
 /// references: datasets, drivers, oracles) at a caller-chosen scale, and
 /// carries the search defaults its figures were tuned with. The registry
-/// is what lets one driver (`examples/evolve.cpp`), the throughput bench
-/// and the variability bench iterate every application instead of each
+/// is what lets one driver (`examples/evolve.cpp`), the benches and the
+/// cache tests iterate every application instead of each
 /// app shipping its own ~150-line driver.
 ///
 /// Apps register themselves via `apps::registerBuiltinWorkloads()` (an
@@ -39,7 +39,7 @@ struct WorkloadConfig {
     sim::DeviceConfig device = sim::p100();
     /// Optional user knob source (nullptr = no user overrides).
     const Flags* flags = nullptr;
-    /// Consumer-scale knob defaults (e.g. the throughput bench pins
+    /// Consumer-scale knob defaults (e.g. the bench scale pins
     /// "pairs" to 4); lose to explicit user flags.
     std::map<std::string, std::string> defaults;
 
@@ -97,14 +97,14 @@ struct Workload {
     std::vector<KnobSpec> knobs;
     /// Example-scale search defaults (what examples/evolve.cpp uses).
     EvolutionParams searchDefaults;
-    /// Bench-scale search defaults (what bench/throughput.cpp uses —
-    /// these pin the ROADMAP's perf-anchor configuration).
+    /// Bench-scale search defaults (bench/discovery_quality.cpp and the
+    /// cache tests in tests/core/test_variant_cache.cpp use them).
     EvolutionParams benchDefaults;
     /// Bench-scale build knobs (paired with benchDefaults).
     std::map<std::string, std::string> benchKnobs;
     /// Independent-run count / generations / population for the Figure 6
     /// variability bench, plus its build knobs (the figure's historical
-    /// scale, which is not always the throughput bench's).
+    /// scale, which is not always the bench scale).
     std::uint32_t variabilityRuns = 3;
     std::uint32_t variabilityGens = 12;
     std::uint32_t variabilityPop = 16;

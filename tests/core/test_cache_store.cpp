@@ -1,6 +1,6 @@
 /// Persistent cache store: file-format round trips, corruption and
 /// version-mismatch tolerance, concurrent save, and trajectory-neutral
-/// warm starts through the engine (toy kernel and both registered apps).
+/// warm starts through the engine (toy kernel and every registered workload).
 
 #include "core/cache_store.h"
 
@@ -738,14 +738,16 @@ TEST(CacheStoreEngine, CrossWorkloadCacheIsRejectedAsColdStart)
 
 TEST(CacheStoreEngine, WarmStartIsNeutralForEveryRegisteredWorkload)
 {
-    // The acceptance property at app scale: ADEPT and SIMCoV, threads 1
-    // and 4, cache cold / warm / off — one trajectory.
+    // The acceptance property at app scale: every registered workload at
+    // its bench knobs, threads 1 and 4, cache cold / warm / off — one
+    // trajectory.
     apps::registerBuiltinWorkloads();
     auto& registry = WorkloadRegistry::instance();
-    for (const std::string name : {"adept-v0", "simcov"}) {
+    for (const auto& name : registry.names()) {
+        SCOPED_TRACE(name);
         const auto& workload = registry.get(name);
         WorkloadConfig config;
-        config.defaults = {{"pairs", "2"}, {"grid", "16"}, {"steps", "2"}};
+        config.defaults = workload.benchKnobs;
         const auto instance = workload.make(config);
 
         EvolutionParams params = workload.searchDefaults;
@@ -775,10 +777,9 @@ TEST(CacheStoreEngine, WarmStartIsNeutralForEveryRegisteredWorkload)
             expectSameTrajectory(reference, cold);
             expectSameTrajectory(reference, warm);
             expectSameTrajectory(reference, off);
-            EXPECT_GT(warm.cacheSummary.preloaded, 0u) << name;
-            EXPECT_LE(warm.cacheSummary.evaluated,
-                      cold.cacheSummary.evaluated)
-                << name;
+            EXPECT_GT(warm.cacheSummary.preloaded, 0u);
+            EXPECT_LT(warm.cacheSummary.evaluated,
+                      cold.cacheSummary.evaluated);
         }
     }
 }
