@@ -7,6 +7,8 @@
 #include <cstring>
 #include <fstream>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/eval_backend.h"
@@ -271,14 +273,28 @@ readFileChecked(const std::string& path, const FileFormat& format,
                 std::uint64_t expectedScope, std::string* bytes,
                 std::string* message)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    // One sized read: the file's size from fstat, then read(2) until it
+    // is filled or the file ends early.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return FileStatus::Missing;
-    // Constructed, then moved: assign() from input iterators would build
-    // a temporary and copy it, holding the whole file twice.
-    *bytes = std::string(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    if (in.bad()) {
+    struct stat st {};
+    bool ok = ::fstat(fd, &st) == 0;
+    bytes->resize(ok ? static_cast<std::size_t>(st.st_size) : 0);
+    std::size_t got = 0;
+    while (ok && got < bytes->size()) {
+        const ssize_t n = ::read(fd, bytes->data() + got, bytes->size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            ok = n == 0;
+            break;
+        }
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    bytes->resize(got);
+    if (!ok) {
         *message = "read error";
         return FileStatus::BadHeader;
     }

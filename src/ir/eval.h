@@ -50,6 +50,56 @@ fromI32(std::int32_t v)
     return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
 }
 
+/// The f32 NaN a NaN operand propagates as: its low 32 bits, quieted.
+inline std::uint64_t
+quietF32(std::uint64_t raw)
+{
+    return (raw & 0xffffffffu) | 0x00400000u;
+}
+
+/// f32 arithmetic with the NaN rule spelled out: the first NaN operand
+/// wins, quieted (x86 SSE's rule for `op a, b`). Left to the compiler, a
+/// commutative add or multiply of two NaNs returns whichever operand the
+/// generated code happens to put first, which differs between call sites.
+template <typename Fn>
+[[gnu::always_inline]] inline std::uint64_t
+arithF32(std::uint64_t a, std::uint64_t b, Fn fn)
+{
+    const float x = asF32(a);
+    const float y = asF32(b);
+    if (std::isnan(x))
+        return quietF32(a);
+    if (std::isnan(y))
+        return quietF32(b);
+    return fromF32(fn(x, y));
+}
+
+/// f32 min (\p kMax false) or max, spelled out as glibc's fminf/fmaxf
+/// computes it with the operands swapped, which is what these opcodes
+/// have always evaluated to: one quiet NaN yields the other operand, a
+/// signalling NaN yields itself quieted, two NaNs yield \p b quieted,
+/// and equal operands (+0 and -0 included) yield \p a.
+template <bool kMax>
+[[gnu::always_inline]] inline std::uint64_t
+minMaxF32(std::uint64_t a, std::uint64_t b)
+{
+    const float x = asF32(a);
+    const float y = asF32(b);
+    const bool nanX = std::isnan(x);
+    const bool nanY = std::isnan(y);
+    if (nanX || nanY) {
+        const auto quiet = [](std::uint64_t raw) {
+            return (raw & 0x00400000u) != 0;
+        };
+        if (!nanX)
+            return quiet(b) ? fromF32(x) : quietF32(b);
+        if (!nanY)
+            return quiet(a) ? fromF32(y) : quietF32(a);
+        return quietF32(b);
+    }
+    return fromF32((kMax ? y > x : y < x) ? y : x);
+}
+
 /// True when an opcode is evaluable by evalScalar (pure ALU/Cmp/Cvt).
 bool isScalarEvaluable(Opcode op);
 
@@ -57,7 +107,10 @@ bool isScalarEvaluable(Opcode op);
 ///
 /// Division/remainder by zero produce 0 (GPU-like non-trapping semantics);
 /// INT_MIN / -1 produces INT_MIN; float-to-int saturates and maps NaN to 0.
-inline std::uint64_t
+///
+/// Always inlined, so a call with a constant \p op (the simulator's
+/// per-opcode lane kernels) folds to that one case.
+[[gnu::always_inline]] inline std::uint64_t
 evalScalar(Opcode op, std::uint64_t a, std::uint64_t b = 0,
            std::uint64_t c = 0)
 {
@@ -123,12 +176,16 @@ evalScalar(Opcode op, std::uint64_t a, std::uint64_t b = 0,
         return i64(a) > i64(b) ? a : b;
 
       // ---- f32 ----
-      case Opcode::AddF32: return fromF32(asF32(a) + asF32(b));
-      case Opcode::SubF32: return fromF32(asF32(a) - asF32(b));
-      case Opcode::MulF32: return fromF32(asF32(a) * asF32(b));
-      case Opcode::DivF32: return fromF32(asF32(a) / asF32(b));
-      case Opcode::MinF32: return fromF32(std::fmin(asF32(a), asF32(b)));
-      case Opcode::MaxF32: return fromF32(std::fmax(asF32(a), asF32(b)));
+      case Opcode::AddF32:
+        return arithF32(a, b, [](float x, float y) { return x + y; });
+      case Opcode::SubF32:
+        return arithF32(a, b, [](float x, float y) { return x - y; });
+      case Opcode::MulF32:
+        return arithF32(a, b, [](float x, float y) { return x * y; });
+      case Opcode::DivF32:
+        return arithF32(a, b, [](float x, float y) { return x / y; });
+      case Opcode::MinF32: return minMaxF32<false>(a, b);
+      case Opcode::MaxF32: return minMaxF32<true>(a, b);
 
       // ---- bitwise ----
       case Opcode::And: return a & b;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "ir/eval.h"
+#include "sim/lane_kernels.h"
 #include "support/strings.h"
 #include "support/thread_pool.h"
 
@@ -123,7 +124,6 @@ fastForwardCounts()
 
 namespace {
 
-constexpr int kWarpSize = 32;
 constexpr std::uint32_t kFullMask = 0xffffffffu;
 
 using ir::MemSpace;
@@ -177,17 +177,31 @@ struct WarpState {
     std::uint64_t cycle = 0;
     std::uint64_t issueCycles = 0;
     std::uint64_t issuedInstrs = 0;
-    std::vector<std::uint64_t> regs;  ///< lane-major: [lane*numRegs + r].
+    /// Register-major: lane l of register r is regs[r*32 + l], so the 32
+    /// lanes of one register are contiguous (see row()).
+    std::vector<std::uint64_t> regs;
     std::vector<std::uint64_t> ready; ///< per-register ready cycle.
     /// Warp-uniform register tracking (trace path only). Bit r of
     /// uniBits set means every one of the 32 lanes holds uniVal[r] in
-    /// register r — the lane-major array may then be stale and is
+    /// register r — its row of `regs` may then be stale and is
     /// materialized (all 32 lanes rewritten) before the bit is cleared.
     /// Uniformity is defined over all 32 lanes, not just live ones,
     /// because shuffles read source values from inactive lanes too.
     std::vector<std::uint64_t> uniBits;
     std::vector<std::uint64_t> uniVal;
     int index = 0;
+
+    /// The 32 lanes of register \p r.
+    std::uint64_t*
+    row(std::size_t r)
+    {
+        return regs.data() + r * kWarpSize;
+    }
+    const std::uint64_t*
+    row(std::size_t r) const
+    {
+        return regs.data() + r * kWarpSize;
+    }
 };
 
 /// Everything the blocks of one launch share, read-only while they run.
@@ -324,7 +338,7 @@ struct FastForward {
                                     Global, Reg };
     struct Spot {
         Seg seg = Seg::None;
-        std::size_t idx = 0; ///< Reg: the [warp][lane][reg] index.
+        std::size_t idx = 0; ///< Reg: the [warp][reg][lane] index.
         std::uint32_t warp = 0; ///< Reg only.
         std::uint32_t reg = 0;  ///< Reg only.
     };
@@ -356,7 +370,9 @@ struct FastForward {
     /// release.
     std::size_t running = 0;
     std::vector<WarpCtrl> warps;
-    std::vector<std::uint64_t> regs; ///< [warp][lane][reg], materialized.
+    /// [warp][reg][lane], the live register-major layout per warp;
+    /// uniform registers materialized.
+    std::vector<std::uint64_t> regs;
     std::vector<std::uint8_t> shared;
     std::vector<std::uint8_t> local;
     LaunchStats stats; ///< Counters at the snapshot.
@@ -373,7 +389,7 @@ struct FastForward {
     std::vector<std::int32_t> spans;
 
     /// Registers that differ at the last comparison, and the first
-    /// differing [warp][lane][reg] index of each.
+    /// differing [warp][reg][lane] index of each.
     std::vector<std::uint8_t> drift;
     std::vector<std::size_t> driftAt;
 
@@ -654,7 +670,7 @@ class BlockRunner {
             std::fill(warp.ready.begin(), warp.ready.end(), 0);
             if (trace_) {
                 // Every register starts uniform (zero, or the broadcast
-                // kernel argument), so the lane-major array need not be
+                // kernel argument), so the register rows need not be
                 // touched at all: a uniform register is materialized
                 // before its first per-lane use.
                 std::fill(warp.uniBits.begin(), warp.uniBits.end(),
@@ -666,12 +682,9 @@ class BlockRunner {
                 continue;
             }
             std::fill(warp.regs.begin(), warp.regs.end(), 0);
-            for (std::uint32_t lane = 0; lane < kWarpSize; ++lane) {
-                for (std::uint32_t p = 0;
-                     p < prog_.numParams && p < args_.size(); ++p) {
-                    warp.regs[lane * prog_.numRegs + p] = args_[p];
-                }
-            }
+            for (std::uint32_t p = 0;
+                 p < prog_.numParams && p < args_.size(); ++p)
+                std::fill_n(warp.row(p), kWarpSize, args_[p]);
         }
     }
 
@@ -1076,11 +1089,19 @@ class BlockRunner {
         warp.uniBits[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
     }
 
-    /// Resolved read view of one operand: either a lane-major base
-    /// pointer (stride numRegs) or a scalar (immediate / uniform value).
+    /// Resolved read view of one operand: either the register's row
+    /// (lane l at base[l]) or a scalar (immediate / uniform value).
     struct SrcView {
         const std::uint64_t* base = nullptr;
         std::uint64_t scalar = 0;
+
+        /// The view as a lane-kernel source: the row, or the scalar read
+        /// with stride 0. Valid while this view lives.
+        LaneSrc
+        lanes() const
+        {
+            return base != nullptr ? LaneSrc{base, 1} : LaneSrc{&scalar, 0};
+        }
     };
 
     [[gnu::always_inline]] SrcView
@@ -1091,7 +1112,7 @@ class BlockRunner {
         const auto r = static_cast<std::size_t>(op.value);
         if (uniTest(warp, r))
             return {nullptr, warp.uniVal[r]};
-        return {warp.regs.data() + r, 0};
+        return {warp.row(r), 0};
     }
 
     /// Rewrite all 32 lanes of a uniform register from uniVal and drop
@@ -1103,10 +1124,7 @@ class BlockRunner {
         const auto r = static_cast<std::size_t>(dest);
         if (!uniTest(warp, r))
             return;
-        const std::uint64_t w = warp.uniVal[r];
-        std::uint64_t* p = warp.regs.data() + r;
-        for (int lane = 0; lane < kWarpSize; ++lane, p += prog_.numRegs)
-            *p = w;
+        std::fill_n(warp.row(r), kWarpSize, warp.uniVal[r]);
         uniClear(warp, r);
     }
 
@@ -1126,10 +1144,9 @@ class BlockRunner {
                 warp.uniVal[r] = v;
                 return;
             }
-            std::uint64_t* p = warp.regs.data() + r;
-            for (int lane = 0; lane < kWarpSize; ++lane,
-                     p += prog_.numRegs)
-                *p = (mask >> lane) & 1u ? v : w;
+            std::uint64_t* p = warp.row(r);
+            for (int lane = 0; lane < kWarpSize; ++lane)
+                p[lane] = (mask >> lane) & 1u ? v : w;
             uniClear(warp, r);
             return;
         }
@@ -1138,10 +1155,10 @@ class BlockRunner {
             uniSet(warp, r);
             return;
         }
-        std::uint64_t* p = warp.regs.data() + r;
-        for (int lane = 0; lane < kWarpSize; ++lane, p += prog_.numRegs) {
+        std::uint64_t* p = warp.row(r);
+        for (int lane = 0; lane < kWarpSize; ++lane) {
             if ((mask >> lane) & 1u)
-                *p = v;
+                p[lane] = v;
         }
     }
 
@@ -1242,10 +1259,10 @@ class BlockRunner {
         const WarpState& warp = warps_[w];
         if (trace_ && uniTest(warp, r))
             return warp.uniVal[r];
-        return warp.regs[lane * prog_.numRegs + r];
+        return warp.row(r)[lane];
     }
 
-    /// Registers one warp holds in the [warp][lane][reg] layout.
+    /// Registers one warp holds in the [warp][reg][lane] layout.
     std::size_t
     regsPerWarp() const
     {
@@ -1295,8 +1312,8 @@ class BlockRunner {
             s.stack = warp.stack;
             s.issued = warp.issuedInstrs;
             std::uint64_t* out = ff_.regs.data() + w * perWarp;
-            for (std::size_t lane = 0; lane < kWarpSize; ++lane) {
-                for (std::size_t r = 0; r < prog_.numRegs; ++r)
+            for (std::size_t r = 0; r < prog_.numRegs; ++r) {
+                for (std::size_t lane = 0; lane < kWarpSize; ++lane)
                     *out++ = regAt(w, lane, r);
             }
         }
@@ -1359,8 +1376,8 @@ class BlockRunner {
             if (seg == Seg::Reg) {
                 ff_.hot[ff_.nextHot].warp =
                     static_cast<std::uint32_t>(i / regsPerWarp());
-                ff_.hot[ff_.nextHot].reg =
-                    static_cast<std::uint32_t>(i % prog_.numRegs);
+                ff_.hot[ff_.nextHot].reg = static_cast<std::uint32_t>(
+                    i % regsPerWarp() / kWarpSize);
             }
             ff_.nextHot = (ff_.nextHot + 1) % FastForward::kHotSpots;
             return false;
@@ -1384,8 +1401,8 @@ class BlockRunner {
         bool drifting = false;
         std::size_t i = 0;
         for (std::size_t w = 0; w < warps_.size(); ++w) {
-            for (std::size_t lane = 0; lane < kWarpSize; ++lane) {
-                for (std::size_t r = 0; r < prog_.numRegs; ++r, ++i) {
+            for (std::size_t r = 0; r < prog_.numRegs; ++r) {
+                for (std::size_t lane = 0; lane < kWarpSize; ++lane, ++i) {
                     if (regAt(w, lane, r) == ff_.regs[i])
                         continue;
                     if (!ff_.drift[r]) {
@@ -1512,15 +1529,13 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
 
     stats_->laneInstrs += std::popcount(mask);
 
-    const std::uint32_t numRegs = prog_.numRegs;
-    std::uint64_t* const regs0 = warp.regs.data();
-    auto laneRegs = [regs0, numRegs](int lane) {
-        return regs0 + static_cast<std::size_t>(lane) * numRegs;
+    // Register r of lane l, through the register-major layout.
+    auto reg = [&warp](int lane, std::int64_t r) -> std::uint64_t& {
+        return warp.row(static_cast<std::size_t>(r))[lane];
     };
     auto readOp = [&](const Operand& op, int lane) -> std::uint64_t {
-        return op.isReg()
-                   ? laneRegs(lane)[static_cast<std::size_t>(op.value)]
-                   : static_cast<std::uint64_t>(op.value);
+        return op.isReg() ? reg(lane, op.value)
+                          : static_cast<std::uint64_t>(op.value);
     };
 
     const ir::OpKind kind = ir::opInfo(in.op).kind;
@@ -1532,24 +1547,13 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
         // Unused operand slots hold Kind::None with value 0, so reading
         // them unconditionally yields the 0 the evaluator expects — no
         // per-lane nops branching.
-        const Operand op0 = in.ops[0];
-        const Operand op1 = in.ops[1];
-        const Operand op2 = in.ops[2];
-        const auto dest = static_cast<std::size_t>(in.dest);
-        std::uint64_t* lr = regs0;
-        for (int lane = 0; lane < kWarpSize; ++lane, lr += numRegs) {
+        for (int lane = 0; lane < kWarpSize; ++lane) {
             if (!(mask & (1u << lane)))
                 continue;
-            const std::uint64_t a =
-                op0.isReg() ? lr[static_cast<std::size_t>(op0.value)]
-                            : static_cast<std::uint64_t>(op0.value);
-            const std::uint64_t b =
-                op1.isReg() ? lr[static_cast<std::size_t>(op1.value)]
-                            : static_cast<std::uint64_t>(op1.value);
-            const std::uint64_t c =
-                op2.isReg() ? lr[static_cast<std::size_t>(op2.value)]
-                            : static_cast<std::uint64_t>(op2.value);
-            lr[dest] = ir::evalScalar(in.op, a, b, c);
+            reg(lane, in.dest) =
+                ir::evalScalar(in.op, readOp(in.ops[0], lane),
+                               readOp(in.ops[1], lane),
+                               readOp(in.ops[2], lane));
         }
         setReady(warp, in.dest, dev_.aluLat);
         ++top.pc;
@@ -1579,7 +1583,7 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
         for (int lane = 0; lane < kWarpSize; ++lane) {
             if (!(mask & (1u << lane)))
                 continue;
-            laneRegs(lane)[static_cast<std::size_t>(in.dest)] =
+            reg(lane, in.dest) =
                 base + (addLane ? static_cast<std::uint64_t>(lane) : 0);
         }
         setReady(warp, in.dest, 1);
@@ -1613,7 +1617,7 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
                 std::uint64_t v = 0;
                 if (!loadValue(in.space, in.width, addr, thread, &v, &fk))
                     return memFault(fk, addr);
-                laneRegs(lane)[static_cast<std::size_t>(in.dest)] = v;
+                reg(lane, in.dest) = v;
             } else if (in.op == Opcode::Store) {
                 const std::uint64_t v = readOp(in.ops[1], lane);
                 if (!storeValue(in.space, in.width, addr, thread, v, &fk))
@@ -1662,7 +1666,7 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
                     !storeValue(in.space, MemWidth::I32, addr, thread, next,
                                 &fk))
                     return memFault(fk, addr);
-                laneRegs(lane)[static_cast<std::size_t>(in.dest)] = old;
+                reg(lane, in.dest) = old;
             }
         }
         if (in.op != Opcode::Store)
@@ -1687,7 +1691,7 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
             issue(warp, in, 1);
             for (int lane = 0; lane < kWarpSize; ++lane) {
                 if (mask & (1u << lane))
-                    laneRegs(lane)[static_cast<std::size_t>(in.dest)] = mask;
+                    reg(lane, in.dest) = mask;
             }
             setReady(warp, in.dest, 1);
             ++top.pc;
@@ -1713,8 +1717,7 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
             result &= syncMask;
             for (int lane = 0; lane < kWarpSize; ++lane) {
                 if (mask & (1u << lane))
-                    laneRegs(lane)[static_cast<std::size_t>(in.dest)] =
-                        result;
+                    reg(lane, in.dest) = result;
             }
             setReady(warp, in.dest, dev_.shflLat);
             ++top.pc;
@@ -1752,8 +1755,7 @@ BlockRunner<kSpec>::stepRef(WarpState& warp)
                               "shfl mask names inactive lanes");
         for (int lane = 0; lane < kWarpSize; ++lane) {
             if (mask & (1u << lane))
-                laneRegs(lane)[static_cast<std::size_t>(in.dest)] =
-                    results[lane];
+                reg(lane, in.dest) = results[lane];
         }
         setReady(warp, in.dest, dev_.shflLat);
         ++top.pc;
@@ -1931,16 +1933,15 @@ BlockRunner<kSpec>::condBranchTrace(WarpState& warp, const DecodedInstr& in,
         // active set is still exact here.
         for (int k = 0; k < act->n; ++k) {
             const int lane = act->lanes[k];
-            if (cond.base[static_cast<std::size_t>(lane) * prog_.numRegs] !=
-                0)
+            if (cond.base[lane] != 0)
                 takenMask |= 1u << lane;
         }
     } else {
-        const std::uint64_t* p = cond.base;
-        for (int lane = 0; lane < kWarpSize; ++lane, p += prog_.numRegs) {
-            if ((mask & (1u << lane)) && *p != 0)
+        for (int lane = 0; lane < kWarpSize; ++lane) {
+            if (cond.base[lane] != 0)
                 takenMask |= 1u << lane;
         }
+        takenMask &= mask;
     }
     const std::uint32_t fallMask = mask & ~takenMask;
     if (in.target0 == in.target1 || fallMask == 0) {
@@ -1980,8 +1981,6 @@ WarpStop
 BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                        std::uint32_t mask, const ActiveSet* act)
 {
-    const std::uint32_t numRegs = prog_.numRegs;
-    std::uint64_t* const regs0 = warp.regs.data();
     const int laneLimit = kDense ? act->n : kWarpSize;
     // One shared iteration header for every per-lane loop: slot k maps to
     // a dense lane (active by construction) or to lane k (masked test).
@@ -2003,19 +2002,29 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
             writeScalarResult(
                 warp, in.dest, mask,
                 ir::evalScalar(in.op, a.scalar, b.scalar, c.scalar));
-        } else {
+        } else if (kDense) {
             materializeReg(warp, in.dest);
-            const auto dest = static_cast<std::size_t>(in.dest);
-            for (int k = 0; k < laneLimit; ++k) {
-                const int lane = laneAt(k);
-                if (!kDense && !(mask & (1u << lane)))
-                    continue;
-                const std::size_t off =
-                    static_cast<std::size_t>(lane) * numRegs;
-                const std::uint64_t av = a.base ? a.base[off] : a.scalar;
-                const std::uint64_t bv = b.base ? b.base[off] : b.scalar;
-                const std::uint64_t cv = c.base ? c.base[off] : c.scalar;
-                regs0[off + dest] = ir::evalScalar(in.op, av, bv, cv);
+            runLaneKernel<LaneSet::Listed>(in.op, warp.row(in.dest),
+                                           a.lanes(), b.lanes(), c.lanes(),
+                                           act->lanes, act->n);
+        } else {
+            // A full mask writes every lane, so a uniform destination's
+            // row need not be materialized first. A partial one (dense
+            // packing off) evaluates all 32 lanes into a scratch row —
+            // every kernel is total and free of side effects — and keeps
+            // the active ones.
+            const bool full = mask == kFullMask;
+            std::uint64_t* d = warp.row(in.dest);
+            std::uint64_t out[kWarpSize];
+            if (full)
+                uniClear(warp, static_cast<std::size_t>(in.dest));
+            else
+                materializeReg(warp, in.dest);
+            runLaneKernel<LaneSet::All>(in.op, full ? d : out, a.lanes(),
+                                        b.lanes(), c.lanes(), nullptr, 0);
+            for (int lane = 0; !full && lane < kWarpSize; ++lane) {
+                if (mask & (1u << lane))
+                    d[lane] = out[lane];
             }
         }
         setReady(warp, in.dest, dev_.aluLat);
@@ -2032,13 +2041,12 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 in.op == Opcode::Tid
                     ? static_cast<std::uint64_t>(warp.index) * kWarpSize
                     : 0;
-            const auto dest = static_cast<std::size_t>(in.dest);
+            std::uint64_t* const d = warp.row(in.dest);
             for (int k = 0; k < laneLimit; ++k) {
                 const int lane = laneAt(k);
                 if (!kDense && !(mask & (1u << lane)))
                     continue;
-                regs0[static_cast<std::size_t>(lane) * numRegs + dest] =
-                    base + static_cast<std::uint64_t>(lane);
+                d[lane] = base + static_cast<std::uint64_t>(lane);
             }
             break;
           }
@@ -2077,8 +2085,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 const int lane = laneAt(k);
                 if (!kDense && !(mask & (1u << lane)))
                     continue;
-                addrs[lane] = static_cast<std::int64_t>(
-                    av.base[static_cast<std::size_t>(lane) * numRegs]);
+                addrs[lane] = static_cast<std::int64_t>(av.base[lane]);
             }
         }
         std::uint64_t slots = 1;
@@ -2098,7 +2105,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 writeScalarResult(warp, in.dest, mask, v);
             } else {
                 materializeReg(warp, in.dest);
-                const auto dest = static_cast<std::size_t>(in.dest);
+                std::uint64_t* const d = warp.row(in.dest);
                 for (int k = 0; k < laneLimit; ++k) {
                     const int lane = laneAt(k);
                     if (!kDense && !(mask & (1u << lane)))
@@ -2111,8 +2118,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                     if (!loadValue(in.space, in.width, addrs[lane],
                                    thread, &v, &fk))
                         return memFault(fk, addrs[lane]);
-                    regs0[static_cast<std::size_t>(lane) * numRegs +
-                          dest] = v;
+                    d[lane] = v;
                 }
             }
             setReady(warp, in.dest, lat);
@@ -2137,10 +2143,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 const auto thread =
                     static_cast<std::uint32_t>(warp.index) * kWarpSize +
                     static_cast<std::uint32_t>(lane);
-                const std::uint64_t v =
-                    sv.base ? sv.base[static_cast<std::size_t>(lane) *
-                                      numRegs]
-                            : sv.scalar;
+                const std::uint64_t v = sv.base ? sv.base[lane] : sv.scalar;
                 if (!storeValue(in.space, in.width, addrs[lane], thread,
                                 v, &fk))
                     return memFault(fk, addrs[lane]);
@@ -2153,7 +2156,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
         const SrcView bv = viewOf(warp, in.ops[1]);
         const SrcView cv = viewOf(warp, in.ops[2]);
         materializeReg(warp, in.dest);
-        const auto dest = static_cast<std::size_t>(in.dest);
+        std::uint64_t* const d = warp.row(in.dest);
         for (int k = 0; k < laneLimit; ++k) {
             const int lane = laneAt(k);
             if (!kDense && !(mask & (1u << lane)))
@@ -2168,10 +2171,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                                                            : MemWidth::I32,
                            addr, thread, &old, &fk))
                 return memFault(fk, addr);
-            const std::uint64_t b =
-                bv.base
-                    ? bv.base[static_cast<std::size_t>(lane) * numRegs]
-                    : bv.scalar;
+            const std::uint64_t b = bv.base ? bv.base[lane] : bv.scalar;
             std::uint64_t next = old;
             bool doStore = true;
             switch (in.atom) {
@@ -2192,9 +2192,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 break;
               case ir::AtomicOp::Cas: {
                 const std::uint64_t newv =
-                    cv.base ? cv.base[static_cast<std::size_t>(lane) *
-                                      numRegs]
-                            : cv.scalar;
+                    cv.base ? cv.base[lane] : cv.scalar;
                 if (ir::asI32(old) == ir::asI32(b)) {
                     next = newv;
                 } else {
@@ -2210,7 +2208,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 !storeValue(in.space, MemWidth::I32, addr, thread, next,
                             &fk))
                 return memFault(fk, addr);
-            regs0[static_cast<std::size_t>(lane) * numRegs + dest] = old;
+            d[lane] = old;
         }
         setReady(warp, in.dest, lat);
         return WarpStop::Done;
@@ -2239,12 +2237,10 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                     const int lane = laneAt(k);
                     if (!kDense && !(mask & (1u << lane)))
                         continue;
-                    const std::size_t off =
-                        static_cast<std::size_t>(lane) * numRegs;
                     syncMask = static_cast<std::uint32_t>(
-                        mv.base ? mv.base[off] : mv.scalar);
+                        mv.base ? mv.base[lane] : mv.scalar);
                     const std::uint64_t pred =
-                        pv.base ? pv.base[off] : pv.scalar;
+                        pv.base ? pv.base[lane] : pv.scalar;
                     if (pred != 0)
                         result |= 1u << lane;
                 }
@@ -2273,8 +2269,7 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
                 syncMask = static_cast<std::uint32_t>(mv.scalar);
             } else {
                 const int hi = 31 - std::countl_zero(mask);
-                syncMask = static_cast<std::uint32_t>(
-                    mv.base[static_cast<std::size_t>(hi) * numRegs]);
+                syncMask = static_cast<std::uint32_t>(mv.base[hi]);
             }
             if (dev_.independentThreadScheduling() &&
                 (syncMask & ~mask) != 0)
@@ -2284,13 +2279,9 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
             setReady(warp, in.dest, dev_.shflLat);
             return WarpStop::Done;
         }
-        // Source values are gathered from ALL 32 lanes — inactive lanes
-        // are legal shuffle sources — so this gather stays full-width
-        // even under dense packing.
-        std::uint64_t srcVals[kWarpSize];
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            srcVals[lane] =
-                vv.base[static_cast<std::size_t>(lane) * numRegs];
+        // Source values come from ALL 32 lanes of the row — inactive
+        // lanes are legal shuffle sources, even under dense packing.
+        const std::uint64_t* const srcVals = vv.base;
         std::uint64_t results[kWarpSize] = {};
         // Each lane's source-validity test uses that lane's own mask
         // read; the post-loop fault check then sees the last active
@@ -2300,12 +2291,10 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
             const int lane = laneAt(k);
             if (!kDense && !(mask & (1u << lane)))
                 continue;
-            const std::size_t off =
-                static_cast<std::size_t>(lane) * numRegs;
             syncMask = static_cast<std::uint32_t>(
-                mv.base ? mv.base[off] : mv.scalar);
+                mv.base ? mv.base[lane] : mv.scalar);
             const auto arg = static_cast<std::int64_t>(
-                iv.base ? iv.base[off] : iv.scalar);
+                iv.base ? iv.base[lane] : iv.scalar);
             int src = lane;
             if (in.op == Opcode::ShflUp) {
                 src = lane - static_cast<int>(arg);
@@ -2323,15 +2312,12 @@ BlockRunner<kSpec>::execInstr(WarpState& warp, const DecodedInstr& in,
             return plainFault(FaultKind::IllegalWarpSync,
                               "shfl mask names inactive lanes");
         materializeReg(warp, in.dest);
-        {
-            const auto dest = static_cast<std::size_t>(in.dest);
-            for (int k = 0; k < laneLimit; ++k) {
-                const int lane = laneAt(k);
-                if (!kDense && !(mask & (1u << lane)))
-                    continue;
-                regs0[static_cast<std::size_t>(lane) * numRegs + dest] =
-                    results[lane];
-            }
+        std::uint64_t* const d = warp.row(in.dest);
+        for (int k = 0; k < laneLimit; ++k) {
+            const int lane = laneAt(k);
+            if (!kDense && !(mask & (1u << lane)))
+                continue;
+            d[lane] = results[lane];
         }
         setReady(warp, in.dest, dev_.shflLat);
         return WarpStop::Done;

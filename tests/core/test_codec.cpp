@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -209,6 +210,59 @@ TEST(EditCodec, AHugeCountIsRejectedBeforeAnythingIsSized)
     std::vector<mut::Edit> out;
     EXPECT_FALSE(decodeAll(payload, &out));
     EXPECT_EQ(out.capacity(), 0u);
+}
+
+// ---- durable files ----
+
+constexpr FileFormat kTestFormat{"GEVOTEST", 7, "test", "foreign scope"};
+
+std::string
+writeTestFile(const std::string& name, const std::string& bytes)
+{
+    const std::string path =
+        ::testing::TempDir() + "gevo_codec_" + name + ".bin";
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    return path;
+}
+
+TEST(ReadFileChecked, ReadsAFileLargerThan64KBWhole)
+{
+    std::string bytes;
+    appendFileHeader(&bytes, kTestFormat, 42);
+    Rng rng(9);
+    while (bytes.size() < 200 * 1024 + 13)
+        bytes.push_back(static_cast<char>(rng.next() & 0xff));
+    const std::string path = writeTestFile("large", bytes);
+    std::string got;
+    std::string message;
+    EXPECT_EQ(readFileChecked(path, kTestFormat, 42, &got, &message),
+              FileStatus::Ok)
+        << message;
+    EXPECT_EQ(got, bytes);
+}
+
+TEST(ReadFileChecked, EmptyAndTruncatedHeadersAreBadHeaders)
+{
+    std::string header;
+    appendFileHeader(&header, kTestFormat, 42);
+    for (const std::size_t keep : {std::size_t{0}, std::size_t{5},
+                                   kFileHeaderSize - 1}) {
+        const std::string path =
+            writeTestFile("cut" + std::to_string(keep),
+                          header.substr(0, keep));
+        std::string got = "stale";
+        std::string message;
+        EXPECT_EQ(readFileChecked(path, kTestFormat, 42, &got, &message),
+                  FileStatus::BadHeader)
+            << keep;
+        EXPECT_EQ(got, header.substr(0, keep));
+        EXPECT_EQ(message, "not a gevo test file");
+    }
+    std::string got;
+    std::string message;
+    EXPECT_EQ(readFileChecked(::testing::TempDir() + "gevo_codec_none.bin",
+                              kTestFormat, 42, &got, &message),
+              FileStatus::Missing);
 }
 
 } // namespace
