@@ -56,7 +56,9 @@ printHelp()
         .flag("seed", "<n>", "search seed")
         .flag("threads", "<n>", "evaluation threads (0 = hardware)")
         .flag("cache", "<bool>", "two-level variant cache (default on)")
-        .flag("cache-max", "<n>", "cache entry bound, 0 = unbounded")
+        .flag("cache-max", "<n>",
+              "entry bound per cache level, least recently used evicted "
+              "first (0 = unbounded)")
         .flag("cache-path", "<file>",
               "persist the caches across runs: load before gen 1, save on "
               "completion (default off)")
@@ -296,12 +298,12 @@ main(int argc, char** argv)
                            : core::SelectionKind::Scalar;
     const auto dumpPath = flags.getString("dump-history", "");
 
-    const auto topology = core::makeTopology(params);
     std::printf("%s: %s\n", workload.name.c_str(),
                 instance->banner().c_str());
     std::printf("search: %s, population %u x %u generations, seed %llu, "
                 "fitness %s\n",
-                topology->describe().c_str(), params.populationSize,
+                core::Topology(params).describe().c_str(),
+                params.populationSize,
                 params.generations,
                 static_cast<unsigned long long>(params.seed),
                 fitness->name().c_str());

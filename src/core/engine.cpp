@@ -80,12 +80,9 @@ checkpointScopeOf(const CompiledVariant& baselineCv,
 
 EvolutionEngine::EvolutionEngine(const ir::Module& base,
                                  const FitnessFunction& fitness,
-                                 EvolutionParams params,
-                                 std::unique_ptr<SearchTopology> topology)
-    : base_(base), fitness_(fitness), params_(params),
-      topology_(topology ? std::move(topology) : makeTopology(params_)),
-      cache_(16, params_.cacheMaxEntries),
-      programCache_(16, params_.cacheMaxEntries)
+                                 EvolutionParams params)
+    : base_(base), fitness_(fitness), params_(params), topology_(params_),
+      cache_(params_.cacheMaxEntries), programCache_(params_.cacheMaxEntries)
 {
     // User-facing parameter validation (these arrive straight from
     // flags, so they are fatal user errors, not internal invariants).
@@ -113,9 +110,8 @@ EvolutionEngine::EvolutionEngine(const ir::Module& base,
     if (params_.resume && params_.checkpointPath.empty())
         GEVO_FATAL("resume requires a checkpointPath");
     params_.sampler.validate();
-    GEVO_ASSERT(topology_->islandCount() >= 1, "no islands");
     if (params_.samplerKind == SamplerKind::Guided)
-        guidedSamplers_.resize(topology_->islandCount());
+        guidedSamplers_.resize(topology_.islandCount());
 }
 
 const mut::MutationSampler*
@@ -423,20 +419,18 @@ EvolutionEngine::updateParetoArchive(const std::vector<Island>& islands)
             if (ind.fitness.valid)
                 add(ind);
 
-    // Keep the non-dominated subset. Equal objective vectors under
-    // distinct keys are all kept — distinct edit lists tied on the
-    // front are exactly what the front should report. O(n^2) over
-    // archive + populations, fine at these scales.
+    // Keep the non-dominated subset: paretoScores' rank 0. Equal
+    // objective vectors under distinct keys are all kept — distinct edit
+    // lists tied on the front are exactly what the front should report.
+    std::vector<const FitnessResult*> fits;
+    fits.reserve(pool.size());
+    for (const auto& ind : pool)
+        fits.push_back(&ind.fitness);
+    const auto scores = paretoScores(fits, keys, params_.objectives);
     std::vector<std::size_t> keep;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-        bool dominated = false;
-        for (std::size_t j = 0; j < pool.size() && !dominated; ++j)
-            dominated = j != i && dominates(pool[j].fitness,
-                                            pool[i].fitness,
-                                            params_.objectives);
-        if (!dominated)
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        if (scores[i].rank == 0)
             keep.push_back(i);
-    }
     std::sort(keep.begin(), keep.end(),
               [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
     paretoArchive_.clear();
@@ -520,7 +514,7 @@ EvolutionEngine::run(const GenerationCallback& onGeneration)
 
     const auto backend = makeBackend(base_, fitness_, params_);
 
-    const std::uint32_t numIslands = topology_->islandCount();
+    const std::uint32_t numIslands = topology_.islandCount();
     std::vector<Island> islands;
     islands.reserve(numIslands);
 
@@ -645,7 +639,7 @@ EvolutionEngine::run(const GenerationCallback& onGeneration)
             onGeneration(result.history.back(), result);
 
         // ---- migration (simultaneous: all outboxes snapshot first) ----
-        const auto edges = topology_->migrationsAfter(gen);
+        const auto edges = topology_.migrationsAfter(gen);
         if (!edges.empty() && params_.migrationCount > 0) {
             std::vector<std::vector<Individual>> outbox(islands.size());
             for (const auto& e : edges) {

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -85,9 +84,9 @@ struct GenerationLog {
     std::size_t paretoFrontSize = 0;
 };
 
-/// Whole-run cache accounting, aggregated from the GenerationLogs (the
-/// VariantCache's own lookup counters see only a subset of traffic —
-/// duplicate fan-outs and program-level hits never call lookup()).
+/// Whole-run cache accounting, aggregated from the GenerationLogs (they
+/// count every request, duplicate fan-outs and program-level hits
+/// included, which never call VariantCache::lookup()).
 struct CacheSummary {
     std::size_t served = 0;    ///< Requests served from memo/cache.
     std::size_t evaluated = 0; ///< Requests that cost pipeline work.
@@ -128,7 +127,7 @@ struct SearchResult {
 };
 
 /// Evolutionary search driver: owns the islands, the evaluation pipeline
-/// and the caches; delegates population structure to a SearchTopology.
+/// and the caches; delegates population structure to a Topology.
 class EvolutionEngine {
   public:
     /// Observer invoked after each generation (progress reporting).
@@ -136,12 +135,9 @@ class EvolutionEngine {
         std::function<void(const GenerationLog&, const SearchResult&)>;
 
     /// \p base must evaluate as valid under \p fitness (fatal otherwise —
-    /// a broken baseline means the test suite itself is wrong). When
-    /// \p topology is null, one is derived from \p params (panmictic for
-    /// islands <= 1, ring otherwise).
+    /// a broken baseline means the test suite itself is wrong).
     EvolutionEngine(const ir::Module& base, const FitnessFunction& fitness,
-                    EvolutionParams params,
-                    std::unique_ptr<SearchTopology> topology = nullptr);
+                    EvolutionParams params);
 
     /// Run the configured number of generations.
     SearchResult run(const GenerationCallback& onGeneration = {});
@@ -229,7 +225,7 @@ class EvolutionEngine {
     const ir::Module& base_;
     const FitnessFunction& fitness_;
     EvolutionParams params_;
-    std::unique_ptr<SearchTopology> topology_;
+    Topology topology_;
     /// Edit-sampling strategies. Uniform is stateless and shared;
     /// guided samplers are per island (each carries its island elite's
     /// loc-heat profile).

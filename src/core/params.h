@@ -145,10 +145,9 @@ struct EvolutionParams {
     /// search trajectory is identical either way; the reference path
     /// exists to count the work the cache saves (test_variant_cache).
     bool useCache = true;
-    /// Per-level entry bound for the variant caches (0 = unbounded). When
-    /// set, each cache evicts least-recently-used entries beyond the
-    /// bound; eviction is trajectory-neutral because evicted results are
-    /// deterministically recomputed on the next miss.
+    /// Entry bound per cache level, least recently used evicted first
+    /// (0 = unbounded). Eviction is trajectory-neutral because evicted
+    /// results are deterministically recomputed on the next miss.
     std::size_t cacheMaxEntries = 0;
     /// Cross-run persistence (core/cache_store.h): when non-empty, both
     /// cache levels are loaded from this file before generation 1 and
@@ -169,7 +168,8 @@ struct EvolutionParams {
     // ---- robustness (crash isolation + durable search state) ----
     /// Evaluation backend. InProcess is trajectory-identical to the
     /// pre-backend engine; Isolated survives worker crashes/hangs at the
-    /// cost of forking its sessions every generation.
+    /// cost of forking up to `threads` sessions, which last the whole
+    /// search (a lost session is re-forked).
     EvalBackendKind backend = EvalBackendKind::InProcess;
     /// Per-evaluation wall-clock watchdog budget, applied uniformly to
     /// both out-of-process backends: a session silent for this long is

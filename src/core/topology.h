@@ -2,17 +2,15 @@
 /// Population structure of the search: how many islands evolve in
 /// parallel and when/where individuals migrate between them.
 ///
-/// The seam exists so search topologies can vary without touching the
-/// orchestrator: the engine asks the topology for the island count and,
-/// after each generation, for the migration edges to apply. Both built-in
-/// topologies are deterministic — migration needs no RNG draws, which
-/// keeps per-island streams independent of the topology choice.
+/// The engine asks the topology for the island count and, after each
+/// generation, for the migration edges to apply. Every topology is
+/// deterministic — migration needs no RNG draws, which keeps per-island
+/// streams independent of the topology choice.
 
 #ifndef GEVO_CORE_TOPOLOGY_H
 #define GEVO_CORE_TOPOLOGY_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,108 +25,53 @@ struct MigrationEdge {
     std::uint32_t to = 0;
 };
 
-/// Interface the orchestrator runs against.
-class SearchTopology {
+/// The topology implied by EvolutionParams::topology, islands and
+/// migrationInterval:
+///
+/// - Panmictic: the paper's single population, no migration. Fatal with
+///   islands > 1.
+/// - Ring: island i sends its best to island (i+1) % N.
+/// - Torus: islands on a rows x cols grid (rows the largest divisor of N
+///   at most sqrt(N)); each sends its best to its right and down
+///   neighbors (wrapping). Two out-edges per island, so good genotypes
+///   spread in O(sqrt(N)) migrations instead of O(N).
+/// - Star: island 0 is the hub; each spoke sends its best to the hub,
+///   then the hub broadcasts its best to every spoke. Pair with
+///   fitnessAwareMigrants so a weak spoke cannot overwrite hub elites.
+/// - Auto: panmictic when islands <= 1, else a ring.
+///
+/// Migration fires every `interval` generations — the first after
+/// generation `interval`, never after generation 0 (the seed population
+/// has not evolved yet). Interval 0 disables it (fully isolated islands,
+/// equivalent to N independent runs sharing the evaluation pipeline and
+/// caches); one island never migrates.
+class Topology {
   public:
-    virtual ~SearchTopology() = default;
+    explicit Topology(const EvolutionParams& params);
 
     /// Number of islands (>= 1).
-    virtual std::uint32_t islandCount() const = 0;
+    std::uint32_t islandCount() const { return islands_; }
 
-    /// Migration edges to apply after generation \p gen has been evaluated
-    /// and sorted (empty = no migration this generation). All edges of one
-    /// generation are applied from pre-migration snapshots, so transfer
-    /// order never matters.
-    virtual std::vector<MigrationEdge>
-    migrationsAfter(std::uint32_t gen) const = 0;
-
-    /// Short description for logs/banners.
-    virtual std::string describe() const = 0;
-};
-
-/// The paper's topology: one panmictic population, no migration.
-class PanmicticTopology : public SearchTopology {
-  public:
-    std::uint32_t islandCount() const override { return 1; }
-    std::vector<MigrationEdge>
-    migrationsAfter(std::uint32_t) const override
-    {
-        return {};
-    }
-    std::string describe() const override { return "panmictic"; }
-};
-
-/// N islands in a directed ring: every `interval` generations island i
-/// sends its best to island (i+1) % N — the first migration fires after
-/// generation `interval`, never after generation 0 (the seed population
-/// has not evolved yet). interval 0 disables migration (fully isolated
-/// islands — equivalent to N independent runs sharing the evaluation
-/// pipeline and caches).
-class RingTopology : public SearchTopology {
-  public:
-    RingTopology(std::uint32_t islands, std::uint32_t interval);
-
-    std::uint32_t islandCount() const override { return islands_; }
-    std::vector<MigrationEdge>
-    migrationsAfter(std::uint32_t gen) const override;
-    std::string describe() const override;
-
-  private:
-    std::uint32_t islands_;
-    std::uint32_t interval_;
-};
-
-/// N islands on a 2D torus grid (rows x cols with rows the largest
-/// divisor of N at most sqrt(N)): every `interval` generations each
-/// island sends its best to its right and down neighbors (wrapping).
-/// Denser than the ring — two out-edges per island — so good genotypes
-/// spread in O(sqrt(N)) migrations instead of O(N), while staying
-/// deterministic and RNG-free like every built-in topology.
-class TorusTopology : public SearchTopology {
-  public:
-    TorusTopology(std::uint32_t islands, std::uint32_t interval);
-
-    std::uint32_t islandCount() const override { return islands_; }
-    std::vector<MigrationEdge>
-    migrationsAfter(std::uint32_t gen) const override;
-    std::string describe() const override;
-
+    /// Grid shape; a torus's rows x cols, else 1 x islandCount().
     std::uint32_t rows() const { return rows_; }
     std::uint32_t cols() const { return cols_; }
 
+    /// Migration edges to apply after generation \p gen has been evaluated
+    /// and sorted (empty = no migration this generation). All edges of one
+    /// generation draw emigrants from pre-migration snapshots; receivers
+    /// take them in edge order.
+    std::vector<MigrationEdge> migrationsAfter(std::uint32_t gen) const;
+
+    /// Short description for logs/banners.
+    std::string describe() const;
+
   private:
+    TopologyKind kind_; ///< Never Auto: resolved at construction.
     std::uint32_t islands_;
     std::uint32_t interval_;
-    std::uint32_t rows_;
+    std::uint32_t rows_ = 1;
     std::uint32_t cols_;
 };
-
-/// Hub-and-spoke: island 0 is the hub; every `interval` generations each
-/// spoke sends its best to the hub and the hub broadcasts its best to
-/// every spoke. The hub concentrates the globally best genotypes (pair
-/// with fitnessAwareMigrants so a weak spoke cannot overwrite hub
-/// elites), and spokes receive hub elites without seeing each other —
-/// a classic exploitation-heavy layout.
-class StarTopology : public SearchTopology {
-  public:
-    StarTopology(std::uint32_t islands, std::uint32_t interval);
-
-    std::uint32_t islandCount() const override { return islands_; }
-    std::vector<MigrationEdge>
-    migrationsAfter(std::uint32_t gen) const override;
-    std::string describe() const override;
-
-  private:
-    std::uint32_t islands_;
-    std::uint32_t interval_;
-};
-
-/// Topology implied by \p params. TopologyKind::Auto keeps the historical
-/// mapping — panmictic when islands <= 1, else a ring with
-/// params.migrationInterval; explicit kinds select directly. Panmictic
-/// with islands > 1 is a fatal config error; ring/torus/star with one
-/// island simply never migrate.
-std::unique_ptr<SearchTopology> makeTopology(const EvolutionParams& params);
 
 } // namespace gevo::core
 

@@ -3,53 +3,11 @@
 #include <algorithm>
 
 #include "core/codec.h"
-#include "support/logging.h"
 
 namespace gevo::core {
 
-namespace {
-
-/// Round up to the next power of two (min 1).
-std::size_t
-roundUpPow2(std::size_t n)
+VariantCache::VariantCache(std::size_t maxEntries) : maxEntries_(maxEntries)
 {
-    std::size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
-/// Largest power of two <= n (n >= 1).
-std::size_t
-roundDownPow2(std::size_t n)
-{
-    std::size_t p = 1;
-    while (p * 2 <= n)
-        p <<= 1;
-    return p;
-}
-
-/// Shard count for the given request: a power of two, clamped so that a
-/// bounded cache can give every shard a capacity of at least one without
-/// the per-shard sum exceeding maxEntries.
-std::size_t
-effectiveShards(std::size_t shardCount, std::size_t maxEntries)
-{
-    std::size_t shards = roundUpPow2(shardCount == 0 ? 1 : shardCount);
-    if (maxEntries > 0)
-        shards = std::min(shards, roundDownPow2(maxEntries));
-    return shards;
-}
-
-} // namespace
-
-VariantCache::VariantCache(std::size_t shardCount, std::size_t maxEntries)
-    : shards_(effectiveShards(shardCount, maxEntries)),
-      shardMask_(shards_.size() - 1), maxEntries_(maxEntries),
-      shardCapacity_(maxEntries == 0 ? 0 : maxEntries / shards_.size())
-{
-    GEVO_ASSERT(maxEntries == 0 || shardCapacity_ >= 1,
-                "bounded cache with zero-capacity shards");
 }
 
 std::string
@@ -73,34 +31,17 @@ VariantCache::hashKey(const std::string& key)
     return h;
 }
 
-VariantCache::Shard&
-VariantCache::shardFor(const std::string& key)
-{
-    return shards_[hashKey(key) & shardMask_];
-}
-
-const VariantCache::Shard&
-VariantCache::shardFor(const std::string& key) const
-{
-    return shards_[hashKey(key) & shardMask_];
-}
-
 bool
 VariantCache::lookup(const std::string& key, FitnessResult* out) const
 {
-    const Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map_.find(key);
+    if (it == map_.end())
         return false;
-    }
-    if (shardCapacity_ > 0) {
+    if (maxEntries_ > 0) {
         // Refresh recency: splice the entry's node to the front.
-        shard.order.splice(shard.order.begin(), shard.order,
-                           it->second.where);
+        order_.splice(order_.begin(), order_, it->second.where);
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
     *out = it->second.result;
     return true;
 }
@@ -108,30 +49,35 @@ VariantCache::lookup(const std::string& key, FitnessResult* out) const
 bool
 VariantCache::insert(const std::string& key, const FitnessResult& result)
 {
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<std::mutex> lock(mu_);
     const auto [it, inserted] =
-        shard.map.try_emplace(key, Shard::Entry{result, shard.order.end()});
+        map_.try_emplace(key, Entry{result, order_.end()});
     if (inserted)
-        it->second.stamp = stamps_.fetch_add(1);
-    if (shardCapacity_ == 0)
+        it->second.stamp = stamps_++;
+    if (maxEntries_ == 0)
         return inserted;
     if (!inserted) {
         // Existing key: keep the first value (fitness is deterministic in
         // the key) but refresh recency — a re-inserted entry is as hot as
         // a looked-up one, and must not be evicted as if cold.
-        shard.order.splice(shard.order.begin(), shard.order,
-                           it->second.where);
+        order_.splice(order_.begin(), order_, it->second.where);
         return false;
     }
-    shard.order.push_front(key);
-    it->second.where = shard.order.begin();
-    if (shard.map.size() > shardCapacity_) {
-        shard.map.erase(shard.order.back());
-        shard.order.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+    order_.push_front(key);
+    it->second.where = order_.begin();
+    if (map_.size() > maxEntries_) {
+        map_.erase(order_.back());
+        order_.pop_back();
+        ++evictions_;
     }
     return true;
+}
+
+std::uint64_t
+VariantCache::insertions() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return stamps_;
 }
 
 std::vector<std::pair<std::string, FitnessResult>>
@@ -139,13 +85,13 @@ VariantCache::insertedSince(std::uint64_t from) const
 {
     std::vector<std::pair<std::uint64_t, std::pair<std::string, FitnessResult>>>
         found;
-    if (from < insertions()) {
-        for (const auto& shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            for (const auto& [key, entry] : shard.map) {
-                if (entry.stamp >= from)
-                    found.push_back({entry.stamp, {key, entry.result}});
-            }
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (from >= stamps_)
+            return {};
+        for (const auto& [key, entry] : map_) {
+            if (entry.stamp >= from)
+                found.push_back({entry.stamp, {key, entry.result}});
         }
     }
     // Stamps are unique, so ordering by them is insertion order.
@@ -162,29 +108,21 @@ std::vector<std::pair<std::string, FitnessResult>>
 VariantCache::snapshot() const
 {
     std::vector<std::pair<std::string, FitnessResult>> out;
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (shardCapacity_ > 0) {
-            // Bounded: emit in recency order, least recent first, so an
-            // in-order preload() reproduces the eviction order.
-            for (auto it = shard.order.rbegin(); it != shard.order.rend();
-                 ++it) {
-                const auto entry = shard.map.find(*it);
-                out.emplace_back(*it, entry->second.result);
-            }
-        } else {
-            // Unbounded: no recency list; sort keys so the snapshot (and
-            // therefore the persisted file) is deterministic.
-            const std::size_t first = out.size();
-            for (const auto& [key, entry] : shard.map)
-                out.emplace_back(key, entry.result);
-            std::sort(out.begin() + static_cast<std::ptrdiff_t>(first),
-                      out.end(),
-                      [](const auto& a, const auto& b) {
-                          return a.first < b.first;
-                      });
-        }
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(map_.size());
+    if (maxEntries_ > 0) {
+        // Bounded: emit in recency order, least recent first, so an
+        // in-order preload() reproduces the eviction order.
+        for (auto it = order_.rbegin(); it != order_.rend(); ++it)
+            out.emplace_back(*it, map_.find(*it)->second.result);
+        return out;
     }
+    // Unbounded: no recency list; sort keys so the snapshot (and
+    // therefore the persisted file) is deterministic.
+    for (const auto& [key, entry] : map_)
+        out.emplace_back(key, entry.result);
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     return out;
 }
 
@@ -201,28 +139,20 @@ VariantCache::preload(
 VariantCache::Stats
 VariantCache::stats() const
 {
+    std::lock_guard<std::mutex> lock(mu_);
     Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        s.entries += shard.map.size();
-    }
+    s.entries = map_.size();
+    s.evictions = evictions_;
     return s;
 }
 
 void
 VariantCache::clear()
 {
-    for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.map.clear();
-        shard.order.clear();
-    }
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    map_.clear();
+    order_.clear();
+    evictions_ = 0;
 }
 
 std::uint64_t

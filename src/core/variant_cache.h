@@ -10,20 +10,20 @@
 /// never collide, and order-preserving, so reordered-but-distinct lists map
 /// to distinct keys (edit application is order-sensitive).
 ///
-/// The cache is sharded: each shard owns a mutex plus an open hash map, so
-/// concurrent inserts from the evaluator threads contend only when
-/// they land on the same shard. Results are immutable once inserted —
-/// fitness is a deterministic function of the edit list — which is what
-/// makes serving cached results trajectory-neutral (same seed, same best
-/// edit list, cache on or off).
+/// One mutex guards one hash map and, when the cache is bounded, one
+/// recency list. The level-0 cache is touched only by the engine thread
+/// and the program cache by at most one evaluator per simulation, so a
+/// single lock never contends enough to matter. Results are immutable
+/// once inserted — fitness is a deterministic function of the edit list
+/// — which is what makes serving cached results trajectory-neutral (same
+/// seed, same best edit list, cache on or off).
 ///
 /// By default the cache is unbounded (fine for 77k-evaluation runs). For
-/// multi-day searches a `maxEntries` bound enables per-shard LRU
-/// eviction: each shard keeps a recency list and drops its
-/// least-recently-touched entry when full. Eviction is trajectory-neutral
-/// too — an evicted result is deterministically recomputed on the next
-/// miss — it only costs throughput, which the evict counter makes
-/// visible.
+/// multi-day searches a `maxEntries` bound makes it an exact LRU: the
+/// least recently used entry is dropped when the cache is full.
+/// Eviction is trajectory-neutral too — an evicted result is
+/// deterministically recomputed on the next miss — it only costs
+/// throughput, which the evict counter makes visible.
 ///
 /// Every key added to the cache gets the next insertion stamp, so a
 /// reader holding a stamp can ask for what arrived after it
@@ -34,7 +34,6 @@
 #ifndef GEVO_CORE_VARIANT_CACHE_H
 #define GEVO_CORE_VARIANT_CACHE_H
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -48,17 +47,12 @@
 
 namespace gevo::core {
 
-/// Thread-safe, sharded fitness cache keyed by canonical edit-list bytes.
+/// Thread-safe fitness cache keyed by canonical edit-list bytes.
 class VariantCache {
   public:
-    /// \p shardCount is rounded up to a power of two (min 1).
-    /// \p maxEntries of 0 keeps the cache unbounded; otherwise entries
-    /// beyond the bound are evicted least-recently-used. The bound is
-    /// enforced per shard (shard capacity = maxEntries / shards), so the
-    /// total entry count never exceeds maxEntries; the shard count is
-    /// clamped down when maxEntries is smaller than the shard count.
-    explicit VariantCache(std::size_t shardCount = 16,
-                          std::size_t maxEntries = 0);
+    /// \p maxEntries of 0 keeps the cache unbounded; otherwise the least
+    /// recently used entry is evicted once the cache holds more.
+    explicit VariantCache(std::size_t maxEntries = 0);
 
     VariantCache(const VariantCache&) = delete;
     VariantCache& operator=(const VariantCache&) = delete;
@@ -71,100 +65,74 @@ class VariantCache {
     /// keys.
     static std::string keyOf(const std::vector<mut::Edit>& edits);
 
-    /// 64-bit FNV-1a of a canonical key (shard selection, diagnostics).
+    /// 64-bit FNV-1a of a canonical key (scope fingerprints,
+    /// diagnostics).
     static std::uint64_t hashKey(const std::string& key);
 
-    /// Look up a previously inserted result. Counts a hit or miss; a hit
-    /// refreshes the entry's recency when the cache is bounded.
+    /// Look up a previously inserted result. A hit refreshes the entry's
+    /// recency when the cache is bounded.
     bool lookup(const std::string& key, FitnessResult* out) const;
 
     /// Insert (idempotent: re-inserting an existing key keeps the first
     /// value, which is safe because fitness is deterministic in the key,
     /// but still refreshes the entry's recency — a re-inserted key is a
-    /// hot key). May evict the shard's least-recently-used entry when
-    /// bounded and full. True when the key was new to the cache.
+    /// hot key). May evict the least-recently-used entry when bounded
+    /// and full. True when the key was new to the cache.
     bool insert(const std::string& key, const FitnessResult& result);
 
     /// Keys added so far: the insertion stamp the next new key gets.
     /// Never reset, not even by clear(), so a stamp stays a valid cursor.
-    std::uint64_t insertions() const
-    {
-        return stamps_.load();
-    }
+    std::uint64_t insertions() const;
 
     /// Entries added at stamp \p from or later that are still cached, in
-    /// insertion order. Does not touch recency or the hit/miss counters.
-    /// Scans every entry; an insert racing with the call may be missed.
+    /// insertion order. Does not touch recency. Scans every entry.
     std::vector<std::pair<std::string, FitnessResult>>
     insertedSince(std::uint64_t from) const;
 
-    /// Deterministic snapshot of every entry, least-recently-used first
-    /// within each shard (insertion order by sorted key when unbounded —
-    /// recency is not tracked then). Feeding a snapshot back through
-    /// insert() in order reproduces both the contents and the LRU
-    /// eviction order, which is what makes persisted caches re-enter
-    /// recency deterministically (core/cache_store.h). Safe to call
-    /// concurrently with lookups/inserts: shards are locked one at a
-    /// time, so the result is a per-shard-consistent view.
+    /// Deterministic snapshot of every entry: least-recently-used first
+    /// when bounded, sorted by key when unbounded (recency is not
+    /// tracked then). Feeding a snapshot back through insert() in order
+    /// reproduces both the contents and the LRU eviction order, which is
+    /// what makes persisted caches re-enter recency deterministically
+    /// (core/cache_store.h). Safe to call concurrently with
+    /// lookups/inserts.
     std::vector<std::pair<std::string, FitnessResult>> snapshot() const;
 
     /// Bulk insert() of \p entries in order (preserves LRU order of a
     /// snapshot). Returns the number of keys actually added (existing
-    /// keys refresh recency but do not count). Does not touch the
-    /// hit/miss counters.
+    /// keys refresh recency but do not count).
     std::size_t
     preload(const std::vector<std::pair<std::string, FitnessResult>>& entries);
 
-    /// Aggregate counters since construction / clear().
+    /// Counters since construction / clear().
     struct Stats {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
         std::uint64_t entries = 0;
         std::uint64_t evictions = 0;
-
-        double
-        hitRate() const
-        {
-            const auto total = hits + misses;
-            return total ? static_cast<double>(hits) /
-                               static_cast<double>(total)
-                         : 0.0;
-        }
     };
     Stats stats() const;
 
     /// Entry bound this cache was built with (0 = unbounded).
     std::size_t maxEntries() const { return maxEntries_; }
 
-    /// Drop every entry and reset the counters.
+    /// Drop every entry and reset the eviction counter.
     void clear();
 
   private:
-    struct Shard {
-        mutable std::mutex mu;
-        /// Recency list, most-recent first; only maintained when bounded.
-        mutable std::list<std::string> order;
-        /// Value, its position in `order` (order.end() if unbounded) and
-        /// its insertion stamp.
-        struct Entry {
-            FitnessResult result;
-            std::list<std::string>::iterator where;
-            std::uint64_t stamp = 0;
-        };
-        std::unordered_map<std::string, Entry> map;
+    /// Value, its position in `order_` (order_.end() if unbounded) and
+    /// its insertion stamp.
+    struct Entry {
+        FitnessResult result;
+        std::list<std::string>::iterator where;
+        std::uint64_t stamp = 0;
     };
 
-    Shard& shardFor(const std::string& key);
-    const Shard& shardFor(const std::string& key) const;
-
-    std::vector<Shard> shards_;
-    std::uint64_t shardMask_ = 0;
-    std::size_t maxEntries_ = 0;
-    std::size_t shardCapacity_ = 0; ///< 0 = unbounded.
-    mutable std::atomic<std::uint64_t> hits_{0};
-    mutable std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> stamps_{0};
+    const std::size_t maxEntries_;
+    mutable std::mutex mu_;
+    std::unordered_map<std::string, Entry> map_;
+    /// Recency list, most-recent first; only maintained when bounded.
+    mutable std::list<std::string> order_;
+    std::uint64_t evictions_ = 0;
+    std::uint64_t stamps_ = 0;
 };
 
 /// The scope fingerprint of a search: the 64-bit hash of the baseline

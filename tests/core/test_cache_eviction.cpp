@@ -29,7 +29,7 @@ keyN(std::uint64_t n)
 
 TEST(CacheEviction, UnboundedByDefault)
 {
-    VariantCache cache(4);
+    VariantCache cache;
     EXPECT_EQ(cache.maxEntries(), 0u);
     for (std::uint64_t i = 0; i < 500; ++i)
         cache.insert(keyN(i), FitnessResult::pass(1.0));
@@ -40,7 +40,7 @@ TEST(CacheEviction, UnboundedByDefault)
 TEST(CacheEviction, EntriesNeverExceedTheBound)
 {
     for (const std::size_t maxEntries : {1u, 3u, 8u, 100u}) {
-        VariantCache cache(16, maxEntries);
+        VariantCache cache(maxEntries);
         for (std::uint64_t i = 0; i < 400; ++i)
             cache.insert(keyN(i),
                          FitnessResult::pass(static_cast<double>(i)));
@@ -53,8 +53,7 @@ TEST(CacheEviction, EntriesNeverExceedTheBound)
 
 TEST(CacheEviction, EvictsLeastRecentlyUsed)
 {
-    // Single shard so the recency order is global and fully observable.
-    VariantCache cache(1, 3);
+    VariantCache cache(3);
     cache.insert(keyN(1), FitnessResult::pass(1.0));
     cache.insert(keyN(2), FitnessResult::pass(2.0));
     cache.insert(keyN(3), FitnessResult::pass(3.0));
@@ -75,7 +74,7 @@ TEST(CacheEviction, EvictsLeastRecentlyUsed)
 
 TEST(CacheEviction, ReinsertDoesNotDuplicateOrEvict)
 {
-    VariantCache cache(1, 2);
+    VariantCache cache(2);
     cache.insert(keyN(1), FitnessResult::pass(1.0));
     cache.insert(keyN(1), FitnessResult::pass(9.0)); // value no-op
     cache.insert(keyN(2), FitnessResult::pass(2.0));
@@ -91,7 +90,7 @@ TEST(CacheEviction, ReinsertRefreshesRecency)
     // Regression: insert() used to return early on an existing key
     // without touching the recency list, so a re-inserted hot entry kept
     // its stale position and could be evicted as if cold.
-    VariantCache cache(1, 3);
+    VariantCache cache(3);
     cache.insert(keyN(1), FitnessResult::pass(1.0));
     cache.insert(keyN(2), FitnessResult::pass(2.0));
     cache.insert(keyN(3), FitnessResult::pass(3.0));
@@ -110,18 +109,33 @@ TEST(CacheEviction, ReinsertRefreshesRecency)
     EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(CacheEviction, TinyBoundClampsShardCount)
+TEST(CacheEviction, BoundKeepsTheMostRecentEntries)
 {
-    // maxEntries smaller than the shard count must still bound correctly.
-    VariantCache cache(16, 2);
-    for (std::uint64_t i = 0; i < 50; ++i)
-        cache.insert(keyN(i), FitnessResult::pass(1.0));
-    EXPECT_LE(cache.stats().entries, 2u);
+    // The bound is exact LRU over the whole cache: 40 distinct keys
+    // through a bound of 32 leave exactly the 32 most recent. The keys
+    // are scattered (an odd multiplier is a bijection on u64), so no
+    // key pattern lines them up with any partition of the cache.
+    const auto key = [](std::uint64_t i) {
+        return keyN(i * 0x9e3779b97f4a7c15ULL);
+    };
+    VariantCache cache(32);
+    for (std::uint64_t i = 0; i < 40; ++i)
+        cache.insert(key(i), FitnessResult::pass(static_cast<double>(i)));
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 32u);
+    EXPECT_EQ(stats.evictions, 8u);
+    FitnessResult out;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        EXPECT_EQ(cache.lookup(key(i), &out), i >= 8) << "key " << i;
+        if (i >= 8) {
+            EXPECT_DOUBLE_EQ(out.ms(), static_cast<double>(i));
+        }
+    }
 }
 
 TEST(CacheEviction, ClearResetsEvictionState)
 {
-    VariantCache cache(1, 2);
+    VariantCache cache(2);
     for (std::uint64_t i = 0; i < 10; ++i)
         cache.insert(keyN(i), FitnessResult::pass(1.0));
     cache.clear();

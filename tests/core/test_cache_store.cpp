@@ -459,7 +459,7 @@ keyN(std::uint64_t n)
 
 TEST(CacheStore, SnapshotPreloadReproducesLruEvictionOrder)
 {
-    VariantCache original(1, 3);
+    VariantCache original(3);
     original.insert(keyN(1), FitnessResult::pass(1.0));
     original.insert(keyN(2), FitnessResult::pass(2.0));
     original.insert(keyN(3), FitnessResult::pass(3.0));
@@ -475,7 +475,7 @@ TEST(CacheStore, SnapshotPreloadReproducesLruEvictionOrder)
     const auto load = loadCacheStore(path, kTestScope);
     ASSERT_EQ(load.status, CacheLoadResult::Status::Ok);
 
-    VariantCache restored(1, 3);
+    VariantCache restored(3);
     std::vector<std::pair<std::string, FitnessResult>> entries;
     for (const auto& rec : load.records)
         entries.emplace_back(rec.key, rec.result);
@@ -497,7 +497,7 @@ TEST(CacheStore, ConcurrentSaveDuringEvaluationIsConsistent)
     // of traffic. Every loaded record must carry the value its key
     // implies, at every intermediate point.
     const auto path = tmpPath("concurrent");
-    VariantCache cache(8);
+    VariantCache cache;
     constexpr int kWriters = 4;
     constexpr std::uint64_t kPerWriter = 500;
 

@@ -177,7 +177,7 @@ TEST(Island, FirstMigrationWaitsAFullInterval)
 {
     // "Migration every N generations" means the first transfer happens
     // after generation N — never after generation 0's seed population
-    // (RingTopology guards gen 0 explicitly). With the interval equal to
+    // (Topology guards gen 0 explicitly). With the interval equal to
     // the run length, the only migration fires after the final
     // generation's history entry, so the recorded history must be
     // identical to a fully isolated run; any earlier firing would couple

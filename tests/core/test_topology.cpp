@@ -1,5 +1,5 @@
-/// SearchTopology: island counts, ring migration schedules, and the
-/// params -> topology derivation.
+/// Topology: island counts, migration schedules and edge order for every
+/// kind, and the params -> topology derivation.
 
 #include "core/topology.h"
 
@@ -8,9 +8,19 @@
 namespace gevo::core {
 namespace {
 
+Topology
+make(TopologyKind kind, std::uint32_t islands, std::uint32_t interval)
+{
+    EvolutionParams params;
+    params.topology = kind;
+    params.islands = islands;
+    params.migrationInterval = interval;
+    return Topology(params);
+}
+
 TEST(Topology, PanmicticHasOneIslandAndNoMigration)
 {
-    PanmicticTopology t;
+    const auto t = make(TopologyKind::Panmictic, 1, 1);
     EXPECT_EQ(t.islandCount(), 1u);
     for (std::uint32_t gen = 1; gen <= 50; ++gen)
         EXPECT_TRUE(t.migrationsAfter(gen).empty());
@@ -18,7 +28,7 @@ TEST(Topology, PanmicticHasOneIslandAndNoMigration)
 
 TEST(Topology, RingEdgesFormADirectedCycle)
 {
-    RingTopology t(4, 5);
+    const auto t = make(TopologyKind::Ring, 4, 5);
     EXPECT_EQ(t.islandCount(), 4u);
     EXPECT_TRUE(t.migrationsAfter(1).empty());
     EXPECT_TRUE(t.migrationsAfter(4).empty());
@@ -38,7 +48,7 @@ TEST(Topology, RingEdgesFormADirectedCycle)
 
 TEST(Topology, RingIntervalZeroNeverMigrates)
 {
-    RingTopology t(3, 0);
+    const auto t = make(TopologyKind::Ring, 3, 0);
     for (std::uint32_t gen = 0; gen <= 30; ++gen)
         EXPECT_TRUE(t.migrationsAfter(gen).empty());
 }
@@ -48,7 +58,7 @@ TEST(Topology, RingIntervalOneFiresEveryGenerationExceptZero)
     // interval 1 is the tightest schedule: migration after every evolved
     // generation — but still not after generation 0, which has only the
     // seed population.
-    RingTopology t(2, 1);
+    const auto t = make(TopologyKind::Ring, 2, 1);
     EXPECT_TRUE(t.migrationsAfter(0).empty());
     for (std::uint32_t gen = 1; gen <= 10; ++gen)
         EXPECT_EQ(t.migrationsAfter(gen).size(), 2u) << gen;
@@ -56,15 +66,17 @@ TEST(Topology, RingIntervalOneFiresEveryGenerationExceptZero)
 
 TEST(Topology, SingleIslandRingNeverMigrates)
 {
-    RingTopology t(1, 1);
+    const auto t = make(TopologyKind::Ring, 1, 1);
     EXPECT_TRUE(t.migrationsAfter(1).empty());
 }
 
 TEST(Topology, TorusFactorsIntoTheMostSquareGrid)
 {
     // 6 islands -> 2x3; every island emits a right and a down edge.
-    TorusTopology t(6, 3);
+    const auto t = make(TopologyKind::Torus, 6, 3);
     EXPECT_EQ(t.islandCount(), 6u);
+    EXPECT_EQ(t.rows(), 2u);
+    EXPECT_EQ(t.cols(), 3u);
     EXPECT_TRUE(t.migrationsAfter(0).empty());
     EXPECT_TRUE(t.migrationsAfter(2).empty());
     const auto edges = t.migrationsAfter(3);
@@ -95,7 +107,7 @@ TEST(Topology, PrimeIslandCountTorusDegeneratesToRing)
 {
     // 5 islands factor as 1x5: no distinct down edge, so the torus is
     // exactly the 5-ring (no duplicate or self edges).
-    TorusTopology t(5, 2);
+    const auto t = make(TopologyKind::Torus, 5, 2);
     const auto edges = t.migrationsAfter(2);
     ASSERT_EQ(edges.size(), 5u);
     for (std::uint32_t i = 0; i < 5; ++i) {
@@ -106,7 +118,7 @@ TEST(Topology, PrimeIslandCountTorusDegeneratesToRing)
 
 TEST(Topology, StarRoutesThroughTheHub)
 {
-    StarTopology t(4, 2);
+    const auto t = make(TopologyKind::Star, 4, 2);
     EXPECT_EQ(t.islandCount(), 4u);
     EXPECT_TRUE(t.migrationsAfter(1).empty());
     const auto edges = t.migrationsAfter(2);
@@ -126,33 +138,48 @@ TEST(Topology, StarRoutesThroughTheHub)
 
 TEST(Topology, SingleIslandTorusAndStarNeverMigrate)
 {
-    TorusTopology torus(1, 1);
-    StarTopology star(1, 1);
+    const auto torus = make(TopologyKind::Torus, 1, 1);
+    const auto star = make(TopologyKind::Star, 1, 1);
     for (std::uint32_t gen = 0; gen <= 10; ++gen) {
         EXPECT_TRUE(torus.migrationsAfter(gen).empty());
         EXPECT_TRUE(star.migrationsAfter(gen).empty());
     }
 }
 
-TEST(Topology, MakeTopologySelectsRequestedKind)
+TEST(Topology, ParamsSelectRequestedKind)
 {
     EvolutionParams params;
     params.islands = 6;
     params.migrationInterval = 4;
 
     params.topology = TopologyKind::Torus;
-    EXPECT_NE(makeTopology(params)->describe().find("torus"),
+    EXPECT_NE(Topology(params).describe().find("torus"),
               std::string::npos);
     params.topology = TopologyKind::Star;
-    EXPECT_NE(makeTopology(params)->describe().find("star"),
+    EXPECT_NE(Topology(params).describe().find("star"),
               std::string::npos);
     params.topology = TopologyKind::Ring;
-    EXPECT_NE(makeTopology(params)->describe().find("ring"),
+    EXPECT_NE(Topology(params).describe().find("ring"),
               std::string::npos);
     // Explicit panmictic with one island is fine...
     params.islands = 1;
     params.topology = TopologyKind::Panmictic;
-    EXPECT_EQ(makeTopology(params)->describe(), "panmictic");
+    EXPECT_EQ(Topology(params).describe(), "panmictic");
+}
+
+TEST(Topology, DescribeStringsArePinned)
+{
+    EXPECT_EQ(make(TopologyKind::Auto, 1, 5).describe(), "panmictic");
+    EXPECT_EQ(make(TopologyKind::Auto, 4, 5).describe(),
+              "4-island ring, migration every 5 generations");
+    EXPECT_EQ(make(TopologyKind::Ring, 3, 0).describe(),
+              "3 isolated islands");
+    EXPECT_EQ(make(TopologyKind::Torus, 6, 2).describe(),
+              "2x3-island torus, migration every 2 generations");
+    EXPECT_EQ(make(TopologyKind::Torus, 6, 0).describe(),
+              "6 isolated islands");
+    EXPECT_EQ(make(TopologyKind::Star, 4, 3).describe(),
+              "4-island star (hub 0), migration every 3 generations");
 }
 
 TEST(TopologyDeathTest, PanmicticWithMultipleIslandsIsFatal)
@@ -160,22 +187,22 @@ TEST(TopologyDeathTest, PanmicticWithMultipleIslandsIsFatal)
     EvolutionParams params;
     params.islands = 3;
     params.topology = TopologyKind::Panmictic;
-    EXPECT_DEATH(makeTopology(params), "panmictic");
+    EXPECT_DEATH(Topology{params}, "panmictic");
 }
 
-TEST(Topology, MakeTopologyDerivesFromParams)
+TEST(Topology, AutoDerivesFromParams)
 {
     EvolutionParams params;
     params.islands = 1;
-    EXPECT_EQ(makeTopology(params)->islandCount(), 1u);
-    EXPECT_EQ(makeTopology(params)->describe(), "panmictic");
+    EXPECT_EQ(Topology(params).islandCount(), 1u);
+    EXPECT_EQ(Topology(params).describe(), "panmictic");
 
     params.islands = 6;
     params.migrationInterval = 7;
-    const auto ring = makeTopology(params);
-    EXPECT_EQ(ring->islandCount(), 6u);
-    EXPECT_EQ(ring->migrationsAfter(7).size(), 6u);
-    EXPECT_TRUE(ring->migrationsAfter(8).empty());
+    const Topology ring(params);
+    EXPECT_EQ(ring.islandCount(), 6u);
+    EXPECT_EQ(ring.migrationsAfter(7).size(), 6u);
+    EXPECT_TRUE(ring.migrationsAfter(8).empty());
 }
 
 } // namespace

@@ -83,7 +83,7 @@ TEST(VariantCacheKey, EveryFieldIsSignificant)
 
 TEST(VariantCache, LookupInsertAndStats)
 {
-    VariantCache cache(4);
+    VariantCache cache;
     const auto key = VariantCache::keyOf({operandReplace(1, 0, 2)});
 
     FitnessResult out;
@@ -98,11 +98,7 @@ TEST(VariantCache, LookupInsertAndStats)
     ASSERT_TRUE(cache.lookup(key, &out));
     EXPECT_DOUBLE_EQ(out.ms(), 1.5);
 
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 2u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_NEAR(stats.hitRate(), 2.0 / 3.0, 1e-12);
+    EXPECT_EQ(cache.stats().entries, 1u);
 
     cache.clear();
     EXPECT_FALSE(cache.lookup(key, &out));
@@ -111,8 +107,8 @@ TEST(VariantCache, LookupInsertAndStats)
 
 TEST(VariantCache, InsertedSinceListsNewKeysInInsertionOrder)
 {
-    // Bounded to two entries in one shard, so the third insert evicts.
-    VariantCache cache(1, 2);
+    // Bounded to two entries, so the third insert evicts.
+    VariantCache cache(2);
     EXPECT_EQ(cache.insertions(), 0u);
     EXPECT_TRUE(cache.insert("b", FitnessResult::pass(2.0)));
     EXPECT_TRUE(cache.insert("a", FitnessResult::pass(1.0)));
@@ -135,12 +131,11 @@ TEST(VariantCache, InsertedSinceListsNewKeysInInsertionOrder)
     EXPECT_EQ(cache.insertions(), 3u);
     cache.insert("d", FitnessResult::pass(4.0));
     ASSERT_EQ(cache.insertedSince(3).size(), 1u);
-    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 }
 
 TEST(VariantCache, ConcurrentInsertLookup)
 {
-    VariantCache cache(8);
+    VariantCache cache;
     constexpr int kThreads = 4;
     constexpr int kKeys = 64;
     constexpr int kRounds = 50;
